@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
+from dataclasses import asdict
 
-from . import oracle, weights
+from . import weights
 from .dims import CodeParams, is_prime_power, rho, rho_binomial, rho_recursive
 from .macaulay import INFINITY, decompose
 
@@ -39,30 +40,38 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _params_json(params: CodeParams) -> dict:
-    return {"q": params.q, "d": params.d, "m": params.m}
-
-
-@contextmanager
 def _open_out(path):
-    if path is None:
-        yield sys.stdout
+    return nullcontext(sys.stdout) if path is None else open(path, "w")
+
+
+def _emit(out, fmt, doc, header, rows, lines) -> None:
+    """Print one result in the requested format.
+
+    json prints the document built by the zero-argument callable `doc`;
+    csv prints `header` and then each row joined by commas, with bools
+    as true/false; plain prints each of `lines`.  `rows` and `lines` may
+    be generators, so no format builds another format's output."""
+    if fmt == "json":
+        print(json.dumps(doc(), indent=2), file=out)
+    elif fmt == "csv":
+        print(header, file=out)
+        for row in rows:
+            cells = (str(v).lower() if isinstance(v, bool) else str(v) for v in row)
+            print(",".join(cells), file=out)
     else:
-        with open(path, "w") as handle:
-            yield handle
+        for line in lines:
+            print(line, file=out)
 
 
 def cmd_dim(args, out) -> int:
     params = CodeParams(args.q, args.d, args.m)
     value = params.dimension
-    if args.format == "json":
-        doc = {"params": _params_json(params), "rho": str(value)}
-        print(json.dumps(doc, indent=2), file=out)
-    elif args.format == "csv":
-        print("q,d,m,rho", file=out)
-        print(f"{params.q},{params.d},{params.m},{value}", file=out)
-    else:
-        print(value, file=out)
+    _emit(
+        out, args.format,
+        doc=lambda: {"params": asdict(params), "rho": str(value)},
+        header="q,d,m,rho", rows=[(params.q, params.d, params.m, value)],
+        lines=[value],
+    )
     return 0
 
 
@@ -70,22 +79,19 @@ def cmd_macaulay(args, out) -> int:
     qparam = _parse_qparam(args.q)
     rep = decompose(args.n, args.d, qparam)
     terms = rep.term_values()
-    if args.format == "json":
-        doc = {
+    _emit(
+        out, args.format,
+        doc=lambda: {
             "q": "inf" if qparam == INFINITY else qparam,
             "d": rep.d,
             "coeffs": list(rep.coeffs),
             "terms": [str(t) for t in terms],
             "sum": str(sum(terms)),
             "n": str(rep.n),
-        }
-        print(json.dumps(doc, indent=2), file=out)
-    elif args.format == "csv":
-        print("degree,coefficient,term", file=out)
-        for i, c, t in zip(range(rep.d, 0, -1), rep.coeffs, terms):
-            print(f"{i},{c},{t}", file=out)
-    else:
-        print("(" + ", ".join(str(c) for c in rep.coeffs) + ")", file=out)
+        },
+        header="degree,coefficient,term", rows=zip(range(rep.d, 0, -1), rep.coeffs, terms),
+        lines=["(" + ", ".join(str(c) for c in rep.coeffs) + ")"],
+    )
     return 0
 
 
@@ -93,101 +99,102 @@ def cmd_ghw(args, out) -> int:
     params = CodeParams(args.q, args.d, args.m)
     eb = weights.e_bar(params, args.r)
     dr = params.length - eb
-    if args.format == "json":
-        doc = {
-            "params": _params_json(params),
+    _emit(
+        out, args.format,
+        doc=lambda: {
+            "params": asdict(params),
             "r": args.r,
             "e_bar": str(eb),
             "d_r": str(dr),
-        }
-        print(json.dumps(doc, indent=2), file=out)
-    elif args.format == "csv":
-        print("q,d,m,r,e_bar,d_r", file=out)
-        print(f"{params.q},{params.d},{params.m},{args.r},{eb},{dr}", file=out)
-    else:
-        print(f"d_r = {dr} (e_bar = {eb})", file=out)
+        },
+        header="q,d,m,r,e_bar,d_r", rows=[(params.q, params.d, params.m, args.r, eb, dr)],
+        lines=[f"d_r = {dr} (e_bar = {eb})"],
+    )
     return 0
 
 
 def cmd_hierarchy(args, out) -> int:
     params = CodeParams(args.q, args.d, args.m)
     h = weights.hierarchy(params)
-    if args.format == "json":
-        doc = {
-            "params": _params_json(params),
+    _emit(
+        out, args.format,
+        doc=lambda: {
+            "params": asdict(params),
             "rho": str(len(h)),
             "weights": [str(w) for w in h],
-        }
-        print(json.dumps(doc, indent=2), file=out)
-    elif args.format == "csv":
-        print("r,d_r", file=out)
-        for r, w in enumerate(h, start=1):
-            print(f"{r},{w}", file=out)
-    else:
-        print(" ".join(str(w) for w in h), file=out)
+        },
+        header="r,d_r", rows=enumerate(h, start=1),
+        lines=(" ".join(str(w) for w in ws) for ws in [h]),
+    )
     return 0
 
 
 def cmd_table(args, out) -> int:
+    # parse every range first, so a bad one is rejected before the header
     q_range = _parse_range(args.q)
     m_range = _parse_range(args.m)
     d_range = _parse_range(args.d) if args.d is not None else None
-    print("q,d,m,r,d_r", file=out)
-    for q in q_range:
-        if not is_prime_power(q):
-            continue  # ranges like 2..5 pass through q = 6-style gaps
-        for m in m_range:
-            if m < 1:
-                continue
-            d_max = m * (q - 1)
-            ds = range(1, d_max + 1) if d_range is None else (
-                d for d in d_range if 1 <= d <= d_max
-            )
-            for d in ds:
-                h = weights.hierarchy(CodeParams(q, d, m))
-                for r, w in enumerate(h, start=1):
-                    print(f"{q},{d},{m},{r},{w}", file=out)
+
+    def rows():
+        for q in q_range:
+            if not is_prime_power(q):
+                continue  # ranges like 2..5 pass through q = 6-style gaps
+            for m in m_range:
+                if m < 1:
+                    continue
+                d_max = m * (q - 1)
+                ds = range(1, d_max + 1) if d_range is None else (
+                    d for d in d_range if 1 <= d <= d_max
+                )
+                for d in ds:
+                    h = weights.hierarchy(CodeParams(q, d, m))
+                    for r, w in enumerate(h, start=1):
+                        yield q, d, m, r, w
+
+    _emit(out, "csv", doc=None, header="q,d,m,r,d_r", rows=rows(), lines=())
     return 0
 
 
-def _verify_lex(params: CodeParams, cap, fmt, out) -> int:
+def _verify_lex(params: CodeParams, args, out) -> bool:
+    from . import oracle
     k = params.dimension
-    tuple_cap = cap if cap is not None else oracle.DEFAULT_TUPLE_CAP
-    rows = []
-    for r in range(1, k + 1):
-        got = weights.e_bar(params, r)
-        want = oracle.e_bar_lex(params, r, tuple_cap)
-        rows.append((r, got, want))
+    tuple_cap = args.cap if args.cap is not None else oracle.DEFAULT_TUPLE_CAP
+    column = oracle.e_bar_lex_column(params, tuple_cap)
+    if len(column) != k:
+        raise ValueError(f"the lex oracle lists {len(column)} tuples, not rho = {k}")
+    rows = [(r, weights.e_bar(params, r), want) for r, want in enumerate(column, start=1)]
     mismatches = [row for row in rows if row[1] != row[2]]
-    if fmt == "json":
-        doc = {
+
+    def lines():
+        for r, a, b in mismatches:
+            yield f"MISMATCH r={r}: e_bar={a} oracle={b}"
+        if mismatches:
+            yield f"FAIL ({len(mismatches)} mismatches / {k} ranks)"
+        else:
+            yield f"PASS ({k} ranks checked)"
+
+    _emit(
+        out, args.format,
+        doc=lambda: {
             "oracle": "lex",
             "status": "pass" if not mismatches else "fail",
             "checked": k,
             "mismatches": [
                 {"r": r, "e_bar": str(a), "oracle": str(b)} for r, a, b in mismatches
             ],
-        }
-        print(json.dumps(doc, indent=2), file=out)
-    elif fmt == "csv":
-        print("r,e_bar,oracle,match", file=out)
-        for r, a, b in rows:
-            print(f"{r},{a},{b},{str(a == b).lower()}", file=out)
-    else:
-        for r, a, b in mismatches:
-            print(f"MISMATCH r={r}: e_bar={a} oracle={b}", file=out)
-        if mismatches:
-            print(f"FAIL ({len(mismatches)} mismatches / {k} ranks)", file=out)
-        else:
-            print(f"PASS ({k} ranks checked)", file=out)
-    return 1 if mismatches else 0
+        },
+        header="r,e_bar,oracle,match", rows=((r, a, b, a == b) for r, a, b in rows),
+        lines=lines(),
+    )
+    return not mismatches
 
 
-def _verify_exhaustive(params: CodeParams, r, cap, fmt, out) -> int:
+def _verify_exhaustive(params: CodeParams, args, out) -> bool:
+    from . import oracle
     k = params.dimension
-    subspace_cap = cap if cap is not None else oracle.DEFAULT_SUBSPACE_CAP
-    if r is not None:
-        ranks = [r]
+    subspace_cap = args.cap if args.cap is not None else oracle.DEFAULT_SUBSPACE_CAP
+    if args.r is not None:
+        ranks = [args.r]
     else:
         ranks = [
             s
@@ -196,40 +203,38 @@ def _verify_exhaustive(params: CodeParams, r, cap, fmt, out) -> int:
         ]
         if not ranks:
             raise ValueError("no rank fits under the subspace cap; pass --r or raise --cap")
-    rows = []
-    for s in ranks:
-        formula = weights.ghw(params, s)
-        exhaustive = oracle.min_subspace_support(params, s, subspace_cap)
-        rows.append((s, formula, exhaustive))
+    rows = [
+        (s, weights.ghw(params, s), oracle.min_subspace_support(params, s, subspace_cap))
+        for s in ranks
+    ]
     mismatches = [row for row in rows if row[1] != row[2]]
-    if fmt == "json":
-        doc = {
+
+    def lines():
+        for s, a, b in rows:
+            yield f"PASS d_{s} = {a}" if a == b else f"MISMATCH d_{s}: formula={a} exhaustive={b}"
+        if mismatches:
+            yield f"FAIL ({len(mismatches)} mismatches / {len(rows)} ranks)"
+
+    _emit(
+        out, args.format,
+        doc=lambda: {
             "oracle": "exhaustive",
             "status": "pass" if not mismatches else "fail",
             "checks": [
                 {"r": s, "formula": str(a), "exhaustive": str(b), "match": a == b}
                 for s, a, b in rows
             ],
-        }
-        print(json.dumps(doc, indent=2), file=out)
-    elif fmt == "csv":
-        print("r,formula,exhaustive,match", file=out)
-        for s, a, b in rows:
-            print(f"{s},{a},{b},{str(a == b).lower()}", file=out)
-    else:
-        for s, a, b in rows:
-            if a == b:
-                print(f"PASS d_{s} = {a}", file=out)
-            else:
-                print(f"MISMATCH d_{s}: formula={a} exhaustive={b}", file=out)
-        if mismatches:
-            print(f"FAIL ({len(mismatches)} mismatches / {len(rows)} ranks)", file=out)
-    return 1 if mismatches else 0
+        },
+        header="r,formula,exhaustive,match", rows=((s, a, b, a == b) for s, a, b in rows),
+        lines=lines(),
+    )
+    return not mismatches
 
 
-def _verify_dims(params: CodeParams, cap, fmt, out) -> int:
+def _verify_dims(params: CodeParams, args, out) -> bool:
+    from . import oracle
     q, d, m = params.q, params.d, params.m
-    tuple_cap = cap if cap is not None else oracle.DEFAULT_TUPLE_CAP
+    tuple_cap = args.cap if args.cap is not None else oracle.DEFAULT_TUPLE_CAP
     values = {
         "formula": rho(q, d, m),
         "recursion": rho_recursive(q, d, m),
@@ -238,35 +243,27 @@ def _verify_dims(params: CodeParams, cap, fmt, out) -> int:
     if d <= q - 1:
         values["binomial"] = rho_binomial(q, d, m)
     agreed = len(set(values.values())) == 1
-    if fmt == "json":
-        doc = {
+    if agreed:
+        lines = [f"PASS rho = {values['formula']} by {len(values)} methods"]
+    else:
+        lines = [*(f"{name} = {v}" for name, v in values.items()), "FAIL (methods disagree)"]
+    _emit(
+        out, args.format,
+        doc=lambda: {
             "oracle": "dims",
             "status": "pass" if agreed else "fail",
             "values": {name: str(v) for name, v in values.items()},
-        }
-        print(json.dumps(doc, indent=2), file=out)
-    elif fmt == "csv":
-        print("method,rho", file=out)
-        for name, v in values.items():
-            print(f"{name},{v}", file=out)
-    else:
-        if agreed:
-            some = next(iter(values.values()))
-            print(f"PASS rho = {some} by {len(values)} methods", file=out)
-        else:
-            for name, v in values.items():
-                print(f"{name} = {v}", file=out)
-            print("FAIL (methods disagree)", file=out)
-    return 0 if agreed else 1
+        },
+        header="method,rho", rows=values.items(),
+        lines=lines,
+    )
+    return agreed
 
 
 def cmd_verify(args, out) -> int:
-    params = CodeParams(args.q, args.d, args.m)
-    if args.oracle == "lex":
-        return _verify_lex(params, args.cap, args.format, out)
-    if args.oracle == "exhaustive":
-        return _verify_exhaustive(params, args.r, args.cap, args.format, out)
-    return _verify_dims(params, args.cap, args.format, out)
+    verify = {"lex": _verify_lex, "exhaustive": _verify_exhaustive, "dims": _verify_dims}
+    passed = verify[args.oracle](CodeParams(args.q, args.d, args.m), args, out)
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,10 +332,7 @@ def main(argv=None) -> int:
     try:
         with _open_out(args.out) as out:
             return args.func(args, out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

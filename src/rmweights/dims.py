@@ -21,16 +21,18 @@ def is_prime_power(q: int) -> bool:
         return False
     if q > 2**32:
         raise ValueError("prime-power test only supported for q <= 2**32")
-    p = None
-    for c in range(2, math.isqrt(q) + 1):
-        if q % c == 0:
-            p = c
-            break
-    if p is None:
-        return True  # q itself is prime
+    p = _smallest_prime_factor(q)
     while q % p == 0:
         q //= p
     return q == 1
+
+
+def _smallest_prime_factor(n: int) -> int:
+    """Smallest prime dividing n >= 2, by trial division."""
+    for c in range(2, math.isqrt(n) + 1):
+        if n % c == 0:
+            return c
+    return n
 
 
 def binomial(a: int, b: int) -> int:
@@ -90,16 +92,15 @@ def rho_recursive(q: int, d: int, m: int) -> int:
     """Dimension via the recursion over the last variable's exponent."""
     _check_q(q)
     _check_m(m)
-    return _rho_rec(q, d, m)
-
-
-@lru_cache(maxsize=None)
-def _rho_rec(q: int, d: int, m: int) -> int:
     if d < 0 or m == -1:
         return 0
-    if m == 0:
-        return 1
-    return sum(_rho_rec(q, d - i, m - 1) for i in range(min(d, q - 1) + 1))
+    d = min(d, m * (q - 1))  # no tuple sums past m(q-1)
+    # column[e] = rho at degree e over the variables added so far; a new
+    # variable sums the previous column over its own exponent i
+    column = [1] * (d + 1)
+    for _ in range(m):
+        column = [sum(column[e - i] for i in range(min(e, q - 1) + 1)) for e in range(d + 1)]
+    return column[d]
 
 
 @dataclass(frozen=True)

@@ -75,10 +75,7 @@ class MacaulayRep:
             raise ValueError("d must be >= 1")
         if not validate(self.coeffs, self.d, self.qparam):
             raise ValueError(f"invalid coefficient tuple {self.coeffs}")
-        total = sum(
-            dim_term(self.qparam, i, c)
-            for i, c in zip(range(self.d, 0, -1), self.coeffs)
-        )
+        total = sum(self.term_values())
         if total != self.n:
             raise ValueError(f"coefficients sum to {total}, not {self.n}")
 
@@ -138,15 +135,15 @@ def decompose(n: int, d: int, qparam) -> MacaulayRep:
 def recompose(coeffs, d: int | None = None, qparam=None) -> int:
     """Sum the summands of a coefficient tuple, rejecting invalid tuples.
 
-    Accepts either a MacaulayRep or a raw (m_d, ..., m_1) sequence with
-    explicit d and qparam.
+    Accepts either a MacaulayRep, which its constructor has already
+    validated, or a raw (m_d, ..., m_1) sequence with explicit d and
+    qparam.
     """
     if isinstance(coeffs, MacaulayRep):
-        rep = coeffs
-        coeffs, d, qparam = rep.coeffs, rep.d, rep.qparam
-    if d is None or qparam is None:
+        coeffs, d, qparam = coeffs.coeffs, coeffs.d, coeffs.qparam
+    elif d is None or qparam is None:
         raise ValueError("d and qparam are required for a raw coefficient tuple")
-    if not validate(coeffs, d, qparam):
+    elif not validate(coeffs, d, qparam):
         raise ValueError(f"invalid coefficient tuple {tuple(coeffs)}")
     return sum(dim_term(qparam, i, c) for i, c in zip(range(d, 0, -1), coeffs))
 

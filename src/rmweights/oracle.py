@@ -19,12 +19,13 @@ re-verified exhaustively every time a table is constructed.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .dims import CodeParams
+from .dims import CodeParams, _smallest_prime_factor
 
 DEFAULT_TUPLE_CAP = 10**8
 DEFAULT_SUBSPACE_CAP = 10**7
@@ -41,15 +42,6 @@ _IRREDUCIBLE = {
     9: (1, 0, 1),
     16: (1, 1, 0, 0, 1),
 }
-
-
-def _smallest_prime_factor(n: int) -> int:
-    c = 2
-    while c * c <= n:
-        if n % c == 0:
-            return c
-        c += 1
-    return n
 
 
 def _poly_mul_mod(a, b, irr, p):
@@ -192,17 +184,21 @@ def enumerate_tuples(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> tu
     return tuple(t for t in _sorted_tuples(q, m) if sum(t) <= d)
 
 
-def e_bar_lex(params: CodeParams, r: int, cap: int = DEFAULT_TUPLE_CAP) -> int:
-    """Reference value for the maximum common-zero count, straight from
-    the descending-lexicographic tuple listing: pick the r-th tuple mu
-    and return sum_i mu_i q^(m-i).
-    """
+def e_bar_lex_column(params: CodeParams, cap: int = DEFAULT_TUPLE_CAP) -> tuple:
+    """Reference e_bar for every rank at once, straight from one
+    descending-lexicographic tuple listing: entry r-1 is
+    sum_i mu_i q^(m-i) for the r-th tuple mu."""
     tuples = enumerate_tuples(params.q, params.d, params.m, cap)
-    k = len(tuples)
-    if not 1 <= r <= k:
-        raise ValueError(f"r must be in [1, {k}]")
-    mu = tuples[r - 1]
-    return sum(mu[j] * params.q ** (params.m - 1 - j) for j in range(params.m))
+    places = [params.q ** (params.m - 1 - j) for j in range(params.m)]
+    return tuple(sum(map(operator.mul, mu, places)) for mu in tuples)
+
+
+def e_bar_lex(params: CodeParams, r: int, cap: int = DEFAULT_TUPLE_CAP) -> int:
+    """Reference e_bar at rank r: entry r-1 of `e_bar_lex_column`."""
+    column = e_bar_lex_column(params, cap)
+    if not 1 <= r <= len(column):
+        raise ValueError(f"r must be in [1, {len(column)}]")
+    return column[r - 1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rmweights
+from rmweights import oracle
 from rmweights.cli import main
 
 
@@ -235,6 +241,53 @@ def test_verify_dims(capsys):
         capsys, "verify", "--q", "5", "--d", "2", "--m", "2", "--oracle", "dims"
     )
     assert (code, out) == (0, "PASS rho = 6 by 4 methods\n")
+
+
+def test_verify_dims_large_m_exits_on_the_cap(capsys):
+    code, out, err = run(
+        capsys, "verify", "--q", "2", "--d", "3", "--m", "330", "--oracle", "dims"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: q^m = {2**330} exceeds the enumeration cap {10**8}\n"
+
+
+def test_verify_lex_lists_the_tuples_once(capsys, monkeypatch):
+    calls = []
+    listing = oracle.enumerate_tuples
+    monkeypatch.setattr(oracle, "enumerate_tuples", lambda *args: calls.append(args) or listing(*args))
+    code, out, _ = run(
+        capsys, "verify", "--q", "3", "--d", "2", "--m", "3", "--oracle", "lex"
+    )
+    assert (code, out) == (0, "PASS (10 ranks checked)\n")
+    assert len(calls) == 1
+
+
+def test_verify_lex_rejects_a_short_listing(capsys, monkeypatch):
+    listing = oracle.enumerate_tuples
+    monkeypatch.setattr(oracle, "enumerate_tuples", lambda *args: listing(*args)[:-1])
+    code, out, err = run(
+        capsys, "verify", "--q", "2", "--d", "1", "--m", "2", "--oracle", "lex"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: the lex oracle lists 2 tuples, not rho = 3\n"
+
+
+def test_closed_forms_do_not_load_numpy():
+    script = (
+        "import sys, rmweights, rmweights.cli\n"
+        "assert rmweights.cli.main(['dim', '--q', '2', '--d', '3', '--m', '5']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert rmweights.oracle.DEFAULT_TUPLE_CAP == 10**8\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    src = str(Path(rmweights.__file__).parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "26\n"
 
 
 def test_verify_dims_json(capsys):

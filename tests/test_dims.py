@@ -90,6 +90,8 @@ def test_rho_recursive_examples():
     assert rho_recursive(2, 3, 4) == 15
     assert rho_recursive(3, 4, 0) == 1
     assert rho_recursive(2, 0, 0) == 1
+    # m far beyond the interpreter's recursion limit
+    assert rho_recursive(2, 3, 2000) == rho(2, 3, 2000)
 
 
 def _sweep(m_max):

@@ -8,6 +8,7 @@ from rmweights.oracle import (
     build_field,
     count_reduced_monomials,
     e_bar_lex,
+    e_bar_lex_column,
     enumerate_tuples,
     gaussian_binomial,
     min_subspace_support,
@@ -119,6 +120,14 @@ def test_e_bar_lex_examples():
     assert e_bar_lex(p, 26) == 0
     with pytest.raises(ValueError, match=r"r must be in \[1, 26\]"):
         e_bar_lex(p, 27)
+
+
+def test_e_bar_lex_column_examples():
+    assert e_bar_lex_column(CodeParams(2, 1, 3)) == (4, 2, 1, 0)
+    column = e_bar_lex_column(CodeParams(2, 3, 5))
+    assert (len(column), column[0], column[9], column[25]) == (26, 28, 17, 0)
+    with pytest.raises(ValueError, match="exceeds the enumeration cap"):
+        e_bar_lex_column(CodeParams(2, 3, 5), cap=31)
 
 
 def test_generator_matrix_example():
