@@ -10,7 +10,7 @@ against ground truth at desk scale.
 from rmweights import CodeParams, ghw, hierarchy
 from rmweights.oracle import (
     build_field,
-    e_bar_lex,
+    e_bar_lex_column,
     enumerate_tuples,
     gaussian_binomial,
     min_subspace_support,
@@ -29,7 +29,8 @@ print()
 # independent route to e_bar: take the r-th tuple, read its base-q value
 p = CodeParams(2, 3, 5)
 print("lex oracle vs closed form on RM(3, 5) over F_2:")
-agree = all(e_bar(p, r) == e_bar_lex(p, r) for r in range(1, p.dimension + 1))
+column = e_bar_lex_column(p)
+agree = all(e_bar(p, r) == column[r - 1] for r in range(1, p.dimension + 1))
 print("  all", p.dimension, "ranks agree:", agree)
 print("  first tuples:", enumerate_tuples(2, 3, 5)[:3])
 print()

@@ -130,15 +130,15 @@ def cmd_hierarchy(args, out) -> int:
 
 
 def cmd_table(args, out) -> int:
-    # parse every range first, so a bad one is rejected before the header
+    # parse every range and test every q first, so bad input is rejected
+    # before the header
     q_range = _parse_range(args.q)
     m_range = _parse_range(args.m)
     d_range = _parse_range(args.d) if args.d is not None else None
+    qs = [q for q in q_range if is_prime_power(q)]  # a range like 5..7 skips q = 6
 
     def rows():
-        for q in q_range:
-            if not is_prime_power(q):
-                continue  # ranges like 2..5 pass through q = 6-style gaps
+        for q in qs:
             for m in m_range:
                 if m < 1:
                     continue
@@ -155,8 +155,7 @@ def cmd_table(args, out) -> int:
     return 0
 
 
-def _verify_lex(params: CodeParams, args, out) -> bool:
-    from . import oracle
+def _verify_lex(oracle, params: CodeParams, args, out) -> bool:
     k = params.dimension
     tuple_cap = args.cap if args.cap is not None else oracle.DEFAULT_TUPLE_CAP
     column = oracle.e_bar_lex_column(params, tuple_cap)
@@ -189,8 +188,7 @@ def _verify_lex(params: CodeParams, args, out) -> bool:
     return not mismatches
 
 
-def _verify_exhaustive(params: CodeParams, args, out) -> bool:
-    from . import oracle
+def _verify_exhaustive(oracle, params: CodeParams, args, out) -> bool:
     k = params.dimension
     subspace_cap = args.cap if args.cap is not None else oracle.DEFAULT_SUBSPACE_CAP
     if args.r is not None:
@@ -231,8 +229,7 @@ def _verify_exhaustive(params: CodeParams, args, out) -> bool:
     return not mismatches
 
 
-def _verify_dims(params: CodeParams, args, out) -> bool:
-    from . import oracle
+def _verify_dims(oracle, params: CodeParams, args, out) -> bool:
     q, d, m = params.q, params.d, params.m
     tuple_cap = args.cap if args.cap is not None else oracle.DEFAULT_TUPLE_CAP
     values = {
@@ -261,8 +258,13 @@ def _verify_dims(params: CodeParams, args, out) -> bool:
 
 
 def cmd_verify(args, out) -> int:
+    params = CodeParams(args.q, args.d, args.m)
+    try:
+        from . import oracle
+    except ImportError:
+        raise ValueError("verify needs numpy; install rmweights[oracle]") from None
     verify = {"lex": _verify_lex, "exhaustive": _verify_exhaustive, "dims": _verify_dims}
-    passed = verify[args.oracle](CodeParams(args.q, args.d, args.m), args, out)
+    passed = verify[args.oracle](oracle, params, args, out)
     return 0 if passed else 1
 
 
@@ -273,14 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def code(p):
+        for flag in ("--q", "--d", "--m"):
+            p.add_argument(flag, type=int, required=True)
+
     def common(p):
         p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
     p = sub.add_parser("dim", help="dimension rho_q(d, m) of RM(d, m)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    code(p)
     common(p)
     p.set_defaults(func=cmd_dim)
 
@@ -292,17 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_macaulay)
 
     p = sub.add_parser("ghw", help="r-th generalized Hamming weight of RM(d, m)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    code(p)
     p.add_argument("--r", type=int, required=True)
     common(p)
     p.set_defaults(func=cmd_ghw)
 
     p = sub.add_parser("hierarchy", help="full weight hierarchy of RM(d, m)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    code(p)
     common(p)
     p.set_defaults(func=cmd_hierarchy)
 
@@ -314,9 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="compare closed forms against a brute-force oracle")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    code(p)
     p.add_argument("--oracle", choices=("lex", "exhaustive", "dims"), required=True)
     p.add_argument("--r", type=int, help="single rank to check (exhaustive oracle)")
     p.add_argument("--cap", type=int, help="enumeration cap override")

@@ -52,8 +52,18 @@ def _check_m(m: int) -> None:
         raise ValueError("m must be >= -1")
 
 
-@lru_cache(maxsize=None)
-def _rho(q: int, d: int, m: int) -> int:
+@lru_cache(maxsize=None, typed=True)
+def rho(q: int, d: int, m: int) -> int:
+    """Dimension of RM(d, m) over F_q by the inclusion-exclusion formula.
+
+    Conventions: 0 for d < 0 or m = -1, and 1 for d >= 0, m = 0.  For
+    d >= m(q-1) the code fills the whole space, so the value is q^m.
+    Memoized; the argument checks run on a cache miss only, which is
+    enough because a call that raises is never cached, and typed keys
+    keep a float argument from hitting an int entry.
+    """
+    _check_q(q)
+    _check_m(m)
     if d < 0 or m == -1:
         return 0
     if m == 0:
@@ -66,17 +76,6 @@ def _rho(q: int, d: int, m: int) -> int:
         for i in range(d + 1)
         for j in range(min(m, d // q) + 1)
     )
-
-
-def rho(q: int, d: int, m: int) -> int:
-    """Dimension of RM(d, m) over F_q by the inclusion-exclusion formula.
-
-    Conventions: 0 for d < 0 or m = -1, and 1 for d >= 0, m = 0.  For
-    d >= m(q-1) the code fills the whole space, so the value is q^m.
-    """
-    _check_q(q)
-    _check_m(m)
-    return _rho(q, d, m)
 
 
 def rho_binomial(q: int, d: int, m: int) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -171,17 +170,13 @@ def count_reduced_monomials(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP
     return sum(1 for t in itertools.product(range(q), repeat=m) if sum(t) <= d)
 
 
-@lru_cache(maxsize=64)
-def _sorted_tuples(q: int, m: int) -> tuple:
-    # materialize, then sort: slower than generating in order, but the
-    # result is obviously the descending lexicographic listing
-    return tuple(sorted(itertools.product(range(q), repeat=m), reverse=True))
-
-
 def enumerate_tuples(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> tuple:
     """All tuples in {0..q-1}^m with sum <= d, descending lexicographic."""
     _check_enumeration_args(q, d, m, cap)
-    return tuple(t for t in _sorted_tuples(q, m) if sum(t) <= d)
+    # filter, then sort: slower than generating in order, but the
+    # result is obviously the descending lexicographic listing
+    tuples = (t for t in itertools.product(range(q), repeat=m) if sum(t) <= d)
+    return tuple(sorted(tuples, reverse=True))
 
 
 def e_bar_lex_column(params: CodeParams, cap: int = DEFAULT_TUPLE_CAP) -> tuple:

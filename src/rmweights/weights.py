@@ -32,14 +32,19 @@ def coeffs_to_mu(rep: MacaulayRep, m: int) -> tuple[int, ...]:
     return tuple(counts.get(m - i, 0) for i in range(1, m + 1))
 
 
+def _rank_rep(params: CodeParams, r: int) -> MacaulayRep:
+    """Macaulay representation of rho_q(d, m) - r, for r in [1, rho_q(d, m)]."""
+    k = params.dimension
+    if not 1 <= r <= k:
+        raise ValueError(f"r must be in [1, {k}]")
+    return decompose(k - r, params.d, params.q)
+
+
 def e_bar(params: CodeParams, r: int) -> int:
     """Maximum number of common affine zeros of r independent reduced
     polynomials of degree <= d, via the Macaulay representation of
     rho_q(d, m) - r."""
-    k = params.dimension
-    if not 1 <= r <= k:
-        raise ValueError(f"r must be in [1, {k}]")
-    rep = decompose(k - r, params.d, params.q)
+    rep = _rank_rep(params, r)
     return sum(params.q**c for c in rep.coeffs if c >= 0)
 
 
@@ -85,11 +90,7 @@ def hierarchy(params: CodeParams) -> WeightHierarchy:
 
 def mu_tuple(params: CodeParams, r: int) -> tuple[int, ...]:
     """The digit tuple whose base-q valuation is e_bar(params, r)."""
-    k = params.dimension
-    if not 1 <= r <= k:
-        raise ValueError(f"r must be in [1, {k}]")
-    rep = decompose(k - r, params.d, params.q)
-    return coeffs_to_mu(rep, params.m)
+    return coeffs_to_mu(_rank_rep(params, r), params.m)
 
 
 def first_weight(params: CodeParams) -> int:

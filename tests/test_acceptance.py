@@ -10,7 +10,7 @@ import time
 
 from rmweights.dims import CodeParams, rho, rho_binomial, rho_recursive
 from rmweights.macaulay import INFINITY, compare, decompose, recompose, validate
-from rmweights.oracle import count_reduced_monomials, e_bar_lex, min_subspace_support
+from rmweights.oracle import count_reduced_monomials, e_bar_lex_column, min_subspace_support
 from rmweights.weights import e_bar, first_weight, ghw, hierarchy
 
 
@@ -61,8 +61,10 @@ def test_criterion_3_closed_form_matches_lex_oracle():
     def body():
         checked = 0
         for p in _rank_sweep():
+            column = e_bar_lex_column(p)
+            assert len(column) == p.dimension, (p.q, p.d, p.m)
             for r in range(1, p.dimension + 1):
-                assert e_bar(p, r) == e_bar_lex(p, r), (p.q, p.d, p.m, r)
+                assert e_bar(p, r) == column[r - 1], (p.q, p.d, p.m, r)
                 checked += 1
         assert checked > 0
 

@@ -160,6 +160,19 @@ def test_table_rejects_empty_range(capsys):
     assert "empty range" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--q", "4294967311..4294967312", "--m", "1"),
+        ("dim", "--q", "4294967311", "--d", "1", "--m", "1"),
+    ],
+)
+def test_q_beyond_the_prime_power_test_is_rejected_before_any_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: prime-power test only supported for q <= 2**32\n"
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "hierarchy.json"
     code, out, _ = run(
@@ -272,22 +285,41 @@ def test_verify_lex_rejects_a_short_listing(capsys, monkeypatch):
     assert err == "error: the lex oracle lists 2 tuples, not rho = 3\n"
 
 
+def _run_python(script):
+    """Run `script` in a fresh interpreter that imports this checkout's rmweights."""
+    src = str(Path(rmweights.__file__).parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 def test_closed_forms_do_not_load_numpy():
-    script = (
+    proc = _run_python(
         "import sys, rmweights, rmweights.cli\n"
         "assert rmweights.cli.main(['dim', '--q', '2', '--d', '3', '--m', '5']) == 0\n"
         "assert 'numpy' not in sys.modules\n"
         "assert rmweights.oracle.DEFAULT_TUPLE_CAP == 10**8\n"
         "assert 'numpy' in sys.modules\n"
     )
-    src = str(Path(rmweights.__file__).parent.parent)
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "26\n"
+
+
+def test_verify_without_numpy_is_a_usage_error():
+    # a None entry in sys.modules makes `import numpy` fail as if absent
+    proc = _run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from rmweights.cli import main\n"
+        "assert main(['dim', '--q', '2', '--d', '3', '--m', '5']) == 0\n"
+        "code = main(['verify', '--q', '2', '--d', '3', '--m', '5', '--oracle', 'dims'])\n"
+        "assert code == 2, code\n"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "26\n"
+    assert proc.stderr == "error: verify needs numpy; install rmweights[oracle]\n"
 
 
 def test_verify_dims_json(capsys):

@@ -71,6 +71,27 @@ def test_rho_rejects_bad_arguments():
         rho(2, 1, -2)
 
 
+def test_rho_checks_hold_whatever_the_cache_holds():
+    # the checks run on a cache miss only; typed keys keep a float
+    # argument from hitting the cached int entry for (2, 3, 5)
+    rho.cache_clear()
+    for warm in (False, True):
+        if warm:
+            assert rho(2, 3, 5) == 26
+        with pytest.raises(ValueError, match="prime power"):
+            rho(2.0, 3, 5)
+        with pytest.raises(TypeError):
+            rho(2, 3.0, 5)
+        with pytest.raises(TypeError):
+            rho(2, 3, 5.0)
+    # a call that raises is never cached, so it raises again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="prime power"):
+            rho(6, 1, 1)
+        with pytest.raises(ValueError):
+            rho(2, 1, -2)
+
+
 def test_rho_binomial_examples():
     assert rho_binomial(4, 3, 3) == 20
     assert rho_binomial(7, 0, 4) == 1
