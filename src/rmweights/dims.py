@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # bounded: `table` tests every q of a range
 def is_prime_power(q: int) -> bool:
     """Return True iff q = p^k for a prime p and k >= 1 (trial division)."""
     if q < 2:
@@ -47,7 +47,11 @@ def _check_q(q: int) -> None:
         raise ValueError("q must be a prime power")
 
 
-def _check_m(m: int) -> None:
+def _check_args(q: int, d: int, m: int) -> None:
+    """Checks shared by the three dimension routes, before any branch."""
+    _check_q(q)
+    if not isinstance(d, int) or not isinstance(m, int):
+        raise TypeError("d and m must be integers")
     if m < -1:
         raise ValueError("m must be >= -1")
 
@@ -62,8 +66,7 @@ def rho(q: int, d: int, m: int) -> int:
     enough because a call that raises is never cached, and typed keys
     keep a float argument from hitting an int entry.
     """
-    _check_q(q)
-    _check_m(m)
+    _check_args(q, d, m)
     if d < 0 or m == -1:
         return 0
     if m == 0:
@@ -80,8 +83,7 @@ def rho(q: int, d: int, m: int) -> int:
 
 def rho_binomial(q: int, d: int, m: int) -> int:
     """Dimension as C(m+d, d); only valid while 0 <= d <= q-1."""
-    _check_q(q)
-    _check_m(m)
+    _check_args(q, d, m)
     if d < 0 or d > q - 1:
         raise ValueError("rho_binomial requires 0 <= d <= q-1")
     return binomial(m + d, d)
@@ -89,8 +91,7 @@ def rho_binomial(q: int, d: int, m: int) -> int:
 
 def rho_recursive(q: int, d: int, m: int) -> int:
     """Dimension via the recursion over the last variable's exponent."""
-    _check_q(q)
-    _check_m(m)
+    _check_args(q, d, m)
     if d < 0 or m == -1:
         return 0
     d = min(d, m * (q - 1))  # no tuple sums past m(q-1)

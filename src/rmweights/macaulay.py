@@ -61,23 +61,24 @@ def validate(coeffs: Sequence[int], d: int, qparam) -> bool:
 class MacaulayRep:
     """A d-th Macaulay representation with respect to q (or INFINITY).
 
-    coeffs holds (m_d, ..., m_1); n is the represented integer.  All
-    three defining conditions are enforced at construction time.
+    coeffs holds (m_d, ..., m_1), which determines the represented
+    integer n.  The defining conditions are enforced at construction.
     """
 
     qparam: int | float
     d: int
     coeffs: tuple[int, ...]
-    n: int
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if not validate(self.coeffs, self.d, self.qparam):
             raise ValueError(f"invalid coefficient tuple {self.coeffs}")
-        total = sum(self.term_values())
-        if total != self.n:
-            raise ValueError(f"coefficients sum to {total}, not {self.n}")
+
+    @property
+    def n(self) -> int:
+        """The represented integer, the sum of the summands."""
+        return sum(self.term_values())
 
     @property
     def binomial_tops(self) -> tuple[int, ...]:
@@ -92,24 +93,24 @@ class MacaulayRep:
         )
 
 
-def _greedy_coefficient(qparam, i: int, remainder: int) -> int:
-    """Largest m >= -1 with dim_term(q, i, m) <= remainder.
+def _greedy_coefficient(qparam, i: int, remainder: int) -> tuple[int, int]:
+    """Largest m >= -1 with dim_term(q, i, m) <= remainder, and that term.
 
     dim_term is strictly increasing in m for i >= 1, so the bracket is
     found by doubling and then bisection.
     """
-    lo = -1
+    lo, lo_term = -1, 0  # dim_term(q, i, -1) = 0
     hi = 0
-    while dim_term(qparam, i, hi) <= remainder:
-        lo = hi
+    while (term := dim_term(qparam, i, hi)) <= remainder:
+        lo, lo_term = hi, term
         hi = 2 * hi + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if dim_term(qparam, i, mid) <= remainder:
-            lo = mid
+        if (term := dim_term(qparam, i, mid)) <= remainder:
+            lo, lo_term = mid, term
         else:
             hi = mid
-    return lo
+    return lo, lo_term
 
 
 def decompose(n: int, d: int, qparam) -> MacaulayRep:
@@ -121,31 +122,26 @@ def decompose(n: int, d: int, qparam) -> MacaulayRep:
     _check_qparam(qparam)
     if n < 0:
         raise ValueError("n must be >= 0")
-    if d < 1:
-        raise ValueError("d must be >= 1")
     coeffs = []
     remainder = n
     for i in range(d, 0, -1):
-        c = _greedy_coefficient(qparam, i, remainder)
-        remainder -= dim_term(qparam, i, c)
+        c, term = _greedy_coefficient(qparam, i, remainder)
+        remainder -= term
         coeffs.append(c)
-    return MacaulayRep(qparam=qparam, d=d, coeffs=tuple(coeffs), n=n)
+    return MacaulayRep(qparam, d, tuple(coeffs))
 
 
 def recompose(coeffs, d: int | None = None, qparam=None) -> int:
     """Sum the summands of a coefficient tuple, rejecting invalid tuples.
 
-    Accepts either a MacaulayRep, which its constructor has already
-    validated, or a raw (m_d, ..., m_1) sequence with explicit d and
-    qparam.
+    Accepts either a MacaulayRep or a raw (m_d, ..., m_1) sequence with
+    explicit d and qparam, which MacaulayRep's constructor checks.
     """
     if isinstance(coeffs, MacaulayRep):
-        coeffs, d, qparam = coeffs.coeffs, coeffs.d, coeffs.qparam
-    elif d is None or qparam is None:
+        return coeffs.n
+    if d is None or qparam is None:
         raise ValueError("d and qparam are required for a raw coefficient tuple")
-    elif not validate(coeffs, d, qparam):
-        raise ValueError(f"invalid coefficient tuple {tuple(coeffs)}")
-    return sum(dim_term(qparam, i, c) for i, c in zip(range(d, 0, -1), coeffs))
+    return MacaulayRep(qparam, d, tuple(coeffs)).n
 
 
 def compare(a: MacaulayRep, b: MacaulayRep) -> int:

@@ -9,6 +9,7 @@ import pytest
 import rmweights
 from rmweights import oracle
 from rmweights.cli import main
+from rmweights.dims import is_prime_power
 
 
 def run(capsys, *argv):
@@ -154,6 +155,14 @@ def test_table_d_filter(capsys):
     assert all(line.split(",")[1] == "2" for line in lines[1:])
 
 
+def test_table_leaves_the_prime_power_cache_bounded(capsys):
+    code, out, _ = run(capsys, "table", "--q", "2..5000", "--m", "0")
+    assert (code, out) == (0, "q,d,m,r,d_r\n")
+    info = is_prime_power.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
+
+
 def test_table_rejects_empty_range(capsys):
     code, _, err = run(capsys, "table", "--q", "3..2", "--m", "1")
     assert code == 2
@@ -285,18 +294,28 @@ def test_verify_lex_rejects_a_short_listing(capsys, monkeypatch):
     assert err == "error: the lex oracle lists 2 tuples, not rho = 3\n"
 
 
-def _run_python(script):
-    """Run `script` in a fresh interpreter that imports this checkout's rmweights."""
-    src = str(Path(rmweights.__file__).parent.parent)
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+SRC = Path(rmweights.__file__).parent.parent
+DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
+
+
+def _run_python(*args):
+    """Run a fresh interpreter on `args` that imports this checkout's rmweights."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = _run_python(str(demo))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_closed_forms_do_not_load_numpy():
     proc = _run_python(
+        "-c",
         "import sys, rmweights, rmweights.cli\n"
         "assert rmweights.cli.main(['dim', '--q', '2', '--d', '3', '--m', '5']) == 0\n"
         "assert 'numpy' not in sys.modules\n"
@@ -310,6 +329,7 @@ def test_closed_forms_do_not_load_numpy():
 def test_verify_without_numpy_is_a_usage_error():
     # a None entry in sys.modules makes `import numpy` fail as if absent
     proc = _run_python(
+        "-c",
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "from rmweights.cli import main\n"

@@ -78,12 +78,14 @@ def test_rho_checks_hold_whatever_the_cache_holds():
     for warm in (False, True):
         if warm:
             assert rho(2, 3, 5) == 26
+            # int twins of the float calls below, which take an early
+            # return, where no arithmetic would reject a float
+            assert (rho(2, 100, 3), rho(3, 2, 1), rho(2, 3, 0)) == (8, 3, 1)
         with pytest.raises(ValueError, match="prime power"):
             rho(2.0, 3, 5)
-        with pytest.raises(TypeError):
-            rho(2, 3.0, 5)
-        with pytest.raises(TypeError):
-            rho(2, 3, 5.0)
+        for args in ((2, 3.0, 5), (2, 3, 5.0), (2, 100.0, 3), (3, 2.5, 1), (2, 3, 0.0)):
+            with pytest.raises(TypeError):
+                rho(*args)
     # a call that raises is never cached, so it raises again
     for _ in range(2):
         with pytest.raises(ValueError, match="prime power"):

@@ -79,12 +79,13 @@ def test_validate_spacing_window():
 
 
 def test_rep_constructor_checks():
-    rep = MacaulayRep(qparam=4, d=3, coeffs=(2, 0, 0), n=12)
+    rep = MacaulayRep(qparam=4, d=3, coeffs=(2, 0, 0))
     assert rep.term_values() == (10, 1, 1)
+    assert rep.n == 12
     with pytest.raises(ValueError):
-        MacaulayRep(qparam=4, d=3, coeffs=(2, 0, 0), n=13)  # wrong total
+        MacaulayRep(qparam=2, d=3, coeffs=(2, 0, 0))  # spacing fails
     with pytest.raises(ValueError):
-        MacaulayRep(qparam=2, d=3, coeffs=(2, 0, 0), n=6)  # spacing fails
+        MacaulayRep(qparam=4, d=3, coeffs=(2, 0))  # length mismatch
 
 
 def test_binomial_tops():

@@ -146,3 +146,21 @@ def test_weights_strictly_increase():
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] == p.length
         assert rho(p.q, p.d, p.m) == len(values)
+
+
+def test_wei_duality():
+    # Wei duality with RM_q(d, m)-dual = RM_q(m(q-1)-d-1, m): the weights
+    # d_r(C) and q^m + 1 - d_r(C-dual) partition 1..q^m; no oracle needed.
+    # The statement is symmetric in C and its dual, so each pair runs once.
+    pairs = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        m = 1
+        while q**m <= 1024:
+            n, top = q**m, m * (q - 1)
+            for d in range(1, (top + 1) // 2):  # d <= top - d - 1
+                weights = hierarchy(CodeParams(q, d, m))
+                dual = hierarchy(CodeParams(q, top - d - 1, m))
+                assert sorted([*weights, *(n + 1 - w for w in dual)]) == list(range(1, n + 1))
+                pairs += 1
+            m += 1
+    assert pairs == 125  # every code with 1 <= d <= m(q-1)-2, on one side
