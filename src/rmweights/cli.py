@@ -232,10 +232,12 @@ def _verify_exhaustive(oracle, params: CodeParams, args, out) -> bool:
 def _verify_dims(oracle, params: CodeParams, args, out) -> bool:
     q, d, m = params.q, params.d, params.m
     tuple_cap = args.cap if args.cap is not None else oracle.DEFAULT_TUPLE_CAP
+    # enumerate first: a code past the cap exits before the closed forms run
+    enumeration = oracle.count_reduced_monomials(q, d, m, tuple_cap)
     values = {
         "formula": rho(q, d, m),
         "recursion": rho_recursive(q, d, m),
-        "enumeration": oracle.count_reduced_monomials(q, d, m, tuple_cap),
+        "enumeration": enumeration,
     }
     if d <= q - 1:
         values["binomial"] = rho_binomial(q, d, m)

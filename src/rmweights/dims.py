@@ -2,9 +2,10 @@
 
 The dimension of RM(d, m) over F_q equals the number of exponent tuples
 in {0, ..., q-1}^m with coordinate sum at most d.  This module computes
-it by three independent routes (inclusion-exclusion formula, column
-recursion, plain binomial for low degrees) so they can cross-check each
-other.  Everything is unbounded-integer arithmetic; no floats.
+it by three independent routes (inclusion-exclusion formula, window-sum
+table over the variables, plain binomial for low degrees) so they can
+cross-check each other.  Everything is unbounded-integer arithmetic; no
+floats.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 
 @lru_cache(maxsize=1024)  # bounded: `table` tests every q of a range
@@ -56,15 +58,16 @@ def _check_args(q: int, d: int, m: int) -> None:
         raise ValueError("m must be >= -1")
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=1024, typed=True)
 def rho(q: int, d: int, m: int) -> int:
     """Dimension of RM(d, m) over F_q by the inclusion-exclusion formula.
 
     Conventions: 0 for d < 0 or m = -1, and 1 for d >= 0, m = 0.  For
     d >= m(q-1) the code fills the whole space, so the value is q^m.
-    Memoized; the argument checks run on a cache miss only, which is
-    enough because a call that raises is never cached, and typed keys
-    keep a float argument from hitting an int entry.
+    Memoized in a bounded cache; a miss costs min(m, d/q) + 1 terms.
+    The argument checks run on a cache miss only, which is enough
+    because a call that raises is never cached, and typed keys keep a
+    float argument from hitting an int entry.
     """
     _check_args(q, d, m)
     if d < 0 or m == -1:
@@ -73,10 +76,10 @@ def rho(q: int, d: int, m: int) -> int:
         return 1
     if d > m * (q - 1):
         return q**m  # every further degree term counts zero tuples
-    # terms with q*j > i vanish (negative top), so j never exceeds d // q
+    # j variables forced to exponent >= q, the degree left spread over
+    # m variables and a slack (hockey-stick sum over degrees <= d)
     return sum(
-        (-1) ** j * binomial(m, j) * binomial(m - 1 + i - q * j, m - 1)
-        for i in range(d + 1)
+        (-1) ** j * math.comb(m, j) * math.comb(m + d - q * j, m)
         for j in range(min(m, d // q) + 1)
     )
 
@@ -89,18 +92,31 @@ def rho_binomial(q: int, d: int, m: int) -> int:
     return binomial(m + d, d)
 
 
+def dimension_rows(q: int, d: int, m: int):
+    """Yield the rows rho_q(0..d, j) of the dimension table for j = 0..m.
+
+    Each row is a list over s = 0..d (q >= 2, d >= 0, m >= 0).  A new
+    variable takes an exponent in 0..q-1, so row j at s is the sum of
+    row j-1 over the window [s-q+1, s]: O(m*d) big-integer additions,
+    and the caller keeps as many rows as it needs.
+    """
+    row = [1] * (d + 1)
+    yield row
+    for _ in range(m):
+        prefix = list(accumulate(row))
+        row = prefix[:q] + [prefix[s] - prefix[s - q] for s in range(q, d + 1)]
+        yield row
+
+
 def rho_recursive(q: int, d: int, m: int) -> int:
-    """Dimension via the recursion over the last variable's exponent."""
+    """Dimension as the corner of the dimension table, `dimension_rows`."""
     _check_args(q, d, m)
     if d < 0 or m == -1:
         return 0
     d = min(d, m * (q - 1))  # no tuple sums past m(q-1)
-    # column[e] = rho at degree e over the variables added so far; a new
-    # variable sums the previous column over its own exponent i
-    column = [1] * (d + 1)
-    for _ in range(m):
-        column = [sum(column[e - i] for i in range(min(e, q - 1) + 1)) for e in range(d + 1)]
-    return column[d]
+    for row in dimension_rows(q, d, m):
+        pass  # only the last row is kept, so memory stays O(d)
+    return row[d]
 
 
 @dataclass(frozen=True)

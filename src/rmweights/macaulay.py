@@ -70,6 +70,8 @@ class MacaulayRep:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        # a list would leave the frozen instance unhashable and unordered
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if not validate(self.coeffs, self.d, self.qparam):
@@ -93,17 +95,24 @@ class MacaulayRep:
         )
 
 
-def _greedy_coefficient(qparam, i: int, remainder: int) -> tuple[int, int]:
+def _greedy_coefficient(qparam, i: int, remainder: int, hi: int | None) -> tuple[int, int]:
     """Largest m >= -1 with dim_term(q, i, m) <= remainder, and that term.
 
-    dim_term is strictly increasing in m for i >= 1, so the bracket is
-    found by doubling and then bisection.
+    dim_term is strictly increasing in m for i >= 1.  With no bound the
+    bracket is found by doubling from 0; a bound hi, the coefficient of
+    the degree above (m_i <= m_{i+1}), is probed first and [-1, hi] is
+    then bisected.
     """
-    lo, lo_term = -1, 0  # dim_term(q, i, -1) = 0
-    hi = 0
-    while (term := dim_term(qparam, i, hi)) <= remainder:
-        lo, lo_term = hi, term
-        hi = 2 * hi + 1
+    if remainder == 0:
+        return -1, 0  # dim_term(q, i, -1) = 0 and dim_term(q, i, 0) = 1
+    lo, lo_term = -1, 0
+    if hi is None:
+        hi = 0
+        while (term := dim_term(qparam, i, hi)) <= remainder:
+            lo, lo_term = hi, term
+            hi = 2 * hi + 1
+    elif (term := dim_term(qparam, i, hi)) <= remainder:
+        return hi, term
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if (term := dim_term(qparam, i, mid)) <= remainder:
@@ -118,14 +127,16 @@ def decompose(n: int, d: int, qparam) -> MacaulayRep:
 
     Greedy from degree d down to 1: each coefficient is the unique
     m_i >= -1 with dim_term(i, m_i) <= remainder < dim_term(i, m_i + 1).
+    Only m_d is searched without a bound; every lower one lies in
+    [-1, m_{i+1}].
     """
     _check_qparam(qparam)
     if n < 0:
         raise ValueError("n must be >= 0")
     coeffs = []
-    remainder = n
+    remainder, c = n, None
     for i in range(d, 0, -1):
-        c, term = _greedy_coefficient(qparam, i, remainder)
+        c, term = _greedy_coefficient(qparam, i, remainder, c)
         remainder -= term
         coeffs.append(c)
     return MacaulayRep(qparam, d, tuple(coeffs))

@@ -160,8 +160,10 @@ def _check_enumeration_args(q: int, d: int, m: int, cap: int) -> None:
         raise ValueError("q must be >= 2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if q**m > cap:
-        raise ValueError(f"q^m = {q**m} exceeds the enumeration cap {cap}")
+    if (n := q**m) > cap:
+        # int -> str refuses more than 4300 digits, so show such a size as a power
+        size = n if n < 10**4000 else f"{q}^{m}"
+        raise ValueError(f"q^m = {size} exceeds the enumeration cap {cap}")
 
 
 def count_reduced_monomials(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> int:

@@ -273,6 +273,14 @@ def test_verify_dims_large_m_exits_on_the_cap(capsys):
     assert err == f"error: q^m = {2**330} exceeds the enumeration cap {10**8}\n"
 
 
+def test_verify_dims_rejects_an_oversized_code_before_the_closed_forms():
+    # the closed forms of this code take minutes; the cap check takes none
+    argv = ("--q", "2", "--d", "1000", "--m", "100000", "--oracle", "dims")
+    proc = _run_python("-m", "rmweights.cli", "verify", *argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: q^m = 2^100000 exceeds the enumeration cap {10**8}\n"
+
+
 def test_verify_lex_lists_the_tuples_once(capsys, monkeypatch):
     calls = []
     listing = oracle.enumerate_tuples
@@ -298,12 +306,12 @@ SRC = Path(rmweights.__file__).parent.parent
 DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
 
 
-def _run_python(*args):
+def _run_python(*args, timeout=60):
     """Run a fresh interpreter on `args` that imports this checkout's rmweights."""
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 

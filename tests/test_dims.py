@@ -188,6 +188,6 @@ def test_code_params_validation():
 
 
 @settings(deadline=None)
-@given(st.sampled_from(QS), st.integers(0, 40), st.integers(0, 8))
+@given(st.sampled_from(QS), st.integers(0, 200), st.integers(0, 120))
 def test_rho_routes_agree_random(q, d, m):
     assert rho(q, d, m) == rho_recursive(q, d, m)

@@ -86,6 +86,11 @@ def test_rep_constructor_checks():
         MacaulayRep(qparam=2, d=3, coeffs=(2, 0, 0))  # spacing fails
     with pytest.raises(ValueError):
         MacaulayRep(qparam=4, d=3, coeffs=(2, 0))  # length mismatch
+    # a list is stored as a tuple, so the representation hashes and orders
+    listed = MacaulayRep(qparam=4, d=3, coeffs=[2, 0, 0])
+    assert listed == decompose(12, 3, 4)
+    assert hash(listed) == hash(decompose(12, 3, 4))
+    assert compare(listed, decompose(12, 3, 4)) == 0
 
 
 def test_binomial_tops():

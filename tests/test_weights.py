@@ -1,10 +1,14 @@
 import pytest
 
+from rmweights import dims, weights
 from rmweights.dims import CodeParams, rho
 from rmweights.macaulay import INFINITY, decompose
 from rmweights.oracle import e_bar_lex_column, enumerate_tuples
 from rmweights.weights import (
     WeightHierarchy,
+    _dimension_columns,
+    _rank_rep,
+    _table_rep,
     coeffs_to_mu,
     e_bar,
     first_weight,
@@ -164,3 +168,56 @@ def test_wei_duality():
                 pairs += 1
             m += 1
     assert pairs == 125  # every code with 1 <= d <= m(q-1)-2, on one side
+
+
+def test_hierarchy_matches_per_rank_ghw():
+    # the table greedy of `hierarchy` against the closed-form greedy of `ghw`
+    codes = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        m = 1
+        while q**m <= 256:
+            for d in range(1, m * (q - 1) + 1):
+                p = CodeParams(q, d, m)
+                assert list(hierarchy(p)) == [ghw(p, r) for r in range(1, p.dimension + 1)]
+                codes += 1
+            m += 1
+    assert codes == 183
+
+
+@pytest.mark.parametrize(
+    "q, d, m, ranks",
+    [
+        (256, 500, 50, [12345]),
+        (3, 120, 150, [10**20 + 7, 10**30 + 1]),
+        (2, 200, 400, [10**20 + 3, 10**30 + 9]),
+    ],
+)
+def test_table_greedy_matches_ghw_at_big_ranks(q, d, m, ranks):
+    p = CodeParams(q, d, m)
+    columns = _dimension_columns(p)
+    for r in (1, *ranks, p.dimension):
+        # `_rank_rep` is the closed-form representation that ghw reads
+        assert _table_rep(p, columns, r) == _rank_rep(p, r), r
+
+
+def test_only_hierarchy_builds_a_dimension_table(monkeypatch):
+    builds = []
+    monkeypatch.setattr(
+        weights, "dimension_rows", lambda *args: builds.append(args) or dims.dimension_rows(*args)
+    )
+    p = CodeParams(3, 4, 4)
+    hierarchy(p)
+    assert builds == [(3, 4, 4)]
+    e_bar(p, 5), ghw(p, 5), mu_tuple(p, 5), decompose(40, 4, 3)
+    assert builds == [(3, 4, 4)]
+
+
+def test_rho_cache_stays_bounded():
+    rho.cache_clear()
+    for q in (2, 3):
+        for m in range(20, 120):  # 200 codes, each new to the cache
+            p = CodeParams(q, 20, m)
+            ghw(p, p.dimension // 2)
+    info = rho.cache_info()
+    assert info.maxsize is not None and info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
