@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,15 +156,20 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+def _decimal_or(n: int, fallback: str) -> int | str:
+    """n for a cap message, or `fallback` where n has more digits than
+    int -> str conversion allows (Python 3.10.7+ limits it; 0 is none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return n if not limit or n < 10**limit else fallback
+
+
 def _check_enumeration_args(q: int, d: int, m: int, cap: int) -> None:
     if q < 2:
         raise ValueError("q must be >= 2")
     if m < 0:
         raise ValueError("m must be >= 0")
     if (n := q**m) > cap:
-        # int -> str refuses more than 4300 digits, so show such a size as a power
-        size = n if n < 10**4000 else f"{q}^{m}"
-        raise ValueError(f"q^m = {size} exceeds the enumeration cap {cap}")
+        raise ValueError(f"q^m = {_decimal_or(n, f'{q}^{m}')} exceeds the enumeration cap {cap}")
 
 
 def count_reduced_monomials(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> int:
@@ -247,7 +253,7 @@ def rm_generator_matrix(
     q, d, m = params.q, params.d, params.m
     n = q**m
     if n > max_points:
-        raise ValueError(f"q^m = {n} exceeds the column cap {max_points}")
+        raise ValueError(f"q^m = {_decimal_or(n, f'{q}^{m}')} exceeds the column cap {max_points}")
     k = params.dimension
     if k > max_rows:
         raise ValueError(f"dimension {k} exceeds the row cap {max_rows}")
@@ -324,8 +330,9 @@ def min_subspace_support(
         raise ValueError(f"r must be in [1, {k}]")
     n_subspaces = gaussian_binomial(k, r, params.q)
     if n_subspaces > cap:
+        shown = _decimal_or(n_subspaces, f"[{k}, {r}]_{params.q}")  # Gaussian binomial
         raise ValueError(
-            f"{n_subspaces} subspaces exceeds the cap {cap};"
+            f"{shown} subspaces exceeds the cap {cap};"
             " use the lexicographic oracle for these parameters"
         )
 

@@ -9,11 +9,10 @@ minus that.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .dims import CodeParams, dimension_rows
+from .dims import CodeParams
 from .macaulay import INFINITY, MacaulayRep, decompose
 
 
@@ -41,42 +40,12 @@ def _rank_rep(params: CodeParams, r: int) -> MacaulayRep:
     return decompose(k - r, params.d, params.q)
 
 
-def _dimension_columns(params: CodeParams) -> list[tuple[int, ...]]:
-    """columns[s][j] = rho_q(s, j) for s <= d and j <= m, from one table."""
-    return list(zip(*dimension_rows(params.q, params.d, params.m)))
-
-
-def _table_rep(params: CodeParams, columns: list[tuple[int, ...]], r: int) -> MacaulayRep:
-    """`_rank_rep` read off the table of `_dimension_columns(params)`.
-
-    Column i is strictly increasing, so each coefficient is found by
-    bisecting it inside [-1, m_{i+1}], starting from m_d <= m-1, which
-    holds because rho_q(d, m) - r < rho_q(d, m).
-    """
-    d, m = params.d, params.m
-    k = columns[d][m]
-    if not 1 <= r <= k:
-        raise ValueError(f"r must be in [1, {k}]")
-    remainder, top, coeffs = k - r, m, []
-    for i in range(d, 0, -1):
-        column = columns[i]
-        top = bisect_right(column, remainder, 0, top)  # entries <= remainder
-        if top:
-            remainder -= column[top - 1]
-        coeffs.append(top - 1)
-    return MacaulayRep(params.q, d, tuple(coeffs))
-
-
-def _e_bar(rep: MacaulayRep) -> int:
-    """sum q^(m_i) over the nonnegative coefficients of a finite-q rep."""
-    return sum(rep.qparam**c for c in rep.coeffs if c >= 0)
-
-
 def e_bar(params: CodeParams, r: int) -> int:
     """Maximum number of common affine zeros of r independent reduced
     polynomials of degree <= d, via the Macaulay representation of
     rho_q(d, m) - r."""
-    return _e_bar(_rank_rep(params, r))
+    rep = _rank_rep(params, r)
+    return sum(params.q**c for c in rep.coeffs if c >= 0)
 
 
 def ghw(params: CodeParams, r: int) -> int:
@@ -114,12 +83,9 @@ class WeightHierarchy:
 
 
 def hierarchy(params: CodeParams) -> WeightHierarchy:
-    """Compute d_r for every r = 1, ..., rho_q(d, m), all from one
-    dimension table built for this call."""
-    columns = _dimension_columns(params)
-    n, k = params.length, columns[params.d][params.m]
-    reps = (_table_rep(params, columns, r) for r in range(1, k + 1))
-    return WeightHierarchy(params, tuple(n - _e_bar(rep) for rep in reps))
+    """Compute d_r for every r = 1, ..., rho_q(d, m)."""
+    k = params.dimension
+    return WeightHierarchy(params, tuple(ghw(params, r) for r in range(1, k + 1)))
 
 
 def mu_tuple(params: CodeParams, r: int) -> tuple[int, ...]:

@@ -273,6 +273,15 @@ def test_verify_dims_large_m_exits_on_the_cap(capsys):
     assert err == f"error: q^m = {2**330} exceeds the enumeration cap {10**8}\n"
 
 
+def test_verify_exhaustive_names_an_oversized_subspace_count(capsys):
+    # 2^20001 - 1 subspaces has more digits than int -> str allows by default
+    code, out, err = run(
+        capsys, "verify", "--q", "2", "--d", "1", "--m", "20000", "--oracle", "exhaustive", "--r", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: [20001, 1]_2 subspaces exceeds the cap {10**7};")
+
+
 def test_verify_dims_rejects_an_oversized_code_before_the_closed_forms():
     # the closed forms of this code take minutes; the cap check takes none
     argv = ("--q", "2", "--d", "1000", "--m", "100000", "--oracle", "dims")

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,31 @@ def test_generator_matrix_caps():
         rm_generator_matrix(CodeParams(2, 1, 3), max_points=4)
     with pytest.raises(ValueError, match="row cap"):
         rm_generator_matrix(CodeParams(2, 2, 3), max_rows=3)
+
+
+@pytest.fixture
+def digit_limit_640():
+    """Lower int -> str conversion to its minimum of 640 digits."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_cap_messages_name_sizes_too_long_for_decimal(digit_limit_640):
+    # 2^3000 has 904 digits: printable by default, not at a 640-digit limit
+    p = CodeParams(2, 1, 3000)
+    with pytest.raises(ValueError, match=r"^q\^m = 2\^3000 exceeds the enumeration cap"):
+        count_reduced_monomials(2, 1, 3000)
+    with pytest.raises(ValueError, match=r"^q\^m = 2\^3000 exceeds the column cap"):
+        rm_generator_matrix(p)
+    with pytest.raises(ValueError, match=r"^\[3001, 1\]_2 subspaces exceeds the cap"):
+        min_subspace_support(p, 1)
+    sys.set_int_max_str_digits(0)  # no limit: every size in decimal
+    with pytest.raises(ValueError, match=f"^q\\^m = {2**3000} exceeds"):
+        count_reduced_monomials(2, 1, 3000)
+    with pytest.raises(ValueError, match=f"^{2**3001 - 1} subspaces exceeds"):
+        min_subspace_support(p, 1)
 
 
 def test_subspace_enumeration_counts():

@@ -1,14 +1,13 @@
+from bisect import bisect_right
+
 import pytest
 
-from rmweights import dims, weights
-from rmweights.dims import CodeParams, rho
-from rmweights.macaulay import INFINITY, decompose
+from rmweights.dims import CodeParams, dimension_rows, rho
+from rmweights.macaulay import INFINITY, MacaulayRep, decompose
 from rmweights.oracle import e_bar_lex_column, enumerate_tuples
 from rmweights.weights import (
     WeightHierarchy,
-    _dimension_columns,
     _rank_rep,
-    _table_rep,
     coeffs_to_mu,
     e_bar,
     first_weight,
@@ -170,18 +169,21 @@ def test_wei_duality():
     assert pairs == 125  # every code with 1 <= d <= m(q-1)-2, on one side
 
 
-def test_hierarchy_matches_per_rank_ghw():
-    # the table greedy of `hierarchy` against the closed-form greedy of `ghw`
-    codes = 0
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        m = 1
-        while q**m <= 256:
-            for d in range(1, m * (q - 1) + 1):
-                p = CodeParams(q, d, m)
-                assert list(hierarchy(p)) == [ghw(p, r) for r in range(1, p.dimension + 1)]
-                codes += 1
-            m += 1
-    assert codes == 183
+def _table_reps(p: CodeParams, ranks):
+    """Representations of rho_q(d, m) - r read off the window-sum table
+    `dimension_rows`, a route that shares no code with `decompose`.
+
+    Column i of the table is strictly increasing, so each coefficient is
+    found by bisecting it inside [-1, m_{i+1}], starting from m_d <= m-1.
+    """
+    columns = list(zip(*dimension_rows(p.q, p.d, p.m)))
+    for r in ranks:
+        remainder, top, coeffs = columns[p.d][p.m] - r, p.m, []
+        for column in columns[p.d : 0 : -1]:
+            top = bisect_right(column, remainder, 0, top)  # entries <= remainder
+            remainder -= column[top - 1] if top else 0
+            coeffs.append(top - 1)
+        yield MacaulayRep(p.q, p.d, tuple(coeffs))
 
 
 @pytest.mark.parametrize(
@@ -190,26 +192,15 @@ def test_hierarchy_matches_per_rank_ghw():
         (256, 500, 50, [12345]),
         (3, 120, 150, [10**20 + 7, 10**30 + 1]),
         (2, 200, 400, [10**20 + 3, 10**30 + 9]),
+        (4, 5, 5, range(2, 222)),  # every rank
     ],
 )
 def test_table_greedy_matches_ghw_at_big_ranks(q, d, m, ranks):
     p = CodeParams(q, d, m)
-    columns = _dimension_columns(p)
-    for r in (1, *ranks, p.dimension):
+    ranks = (1, *ranks, p.dimension)
+    for r, rep in zip(ranks, _table_reps(p, ranks)):
         # `_rank_rep` is the closed-form representation that ghw reads
-        assert _table_rep(p, columns, r) == _rank_rep(p, r), r
-
-
-def test_only_hierarchy_builds_a_dimension_table(monkeypatch):
-    builds = []
-    monkeypatch.setattr(
-        weights, "dimension_rows", lambda *args: builds.append(args) or dims.dimension_rows(*args)
-    )
-    p = CodeParams(3, 4, 4)
-    hierarchy(p)
-    assert builds == [(3, 4, 4)]
-    e_bar(p, 5), ghw(p, 5), mu_tuple(p, 5), decompose(40, 4, 3)
-    assert builds == [(3, 4, 4)]
+        assert rep == _rank_rep(p, r), r
 
 
 def test_rho_cache_stays_bounded():
