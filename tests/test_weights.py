@@ -192,7 +192,6 @@ def _table_reps(p: CodeParams, ranks):
         (256, 500, 50, [12345]),
         (3, 120, 150, [10**20 + 7, 10**30 + 1]),
         (2, 200, 400, [10**20 + 3, 10**30 + 9]),
-        (4, 5, 5, range(2, 222)),  # every rank
     ],
 )
 def test_table_greedy_matches_ghw_at_big_ranks(q, d, m, ranks):
@@ -201,6 +200,21 @@ def test_table_greedy_matches_ghw_at_big_ranks(q, d, m, ranks):
     for r, rep in zip(ranks, _table_reps(p, ranks)):
         # `_rank_rep` is the closed-form representation that ghw reads
         assert rep == _rank_rep(p, r), r
+
+
+def test_hierarchy_matches_the_table_greedy():
+    codes = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        m = 1
+        while q**m <= 256:
+            for d in range(1, m * (q - 1) + 1):
+                p = CodeParams(q, d, m)
+                reps = _table_reps(p, range(1, p.dimension + 1))
+                expected = [p.length - sum(q**c for c in rep.coeffs if c >= 0) for rep in reps]
+                assert list(hierarchy(p)) == expected, p
+                codes += 1
+            m += 1
+    assert codes == 183
 
 
 def test_rho_cache_stays_bounded():
