@@ -39,7 +39,7 @@ print()
 gen = rm_generator_matrix(CodeParams(2, 1, 2))
 print("generator matrix of RM(1, 2) over F_2 (rows 1, x1, x2):")
 for label, row in zip(gen.row_labels, gen.rows):
-    print(f"  {label}: {row.tolist()}")
+    print(f"  {label}: {list(row)}")
 print()
 
 # the exhaustive oracle encodes every subspace of the message space and

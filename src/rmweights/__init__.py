@@ -5,9 +5,7 @@ with respect to q; the `oracle` module carries the brute-force
 counterparts used to verify it.
 """
 
-import importlib
-
-from . import dims, macaulay, weights
+from . import dims, macaulay, oracle, weights
 from .dims import (
     CodeParams,
     binomial,
@@ -54,10 +52,3 @@ __all__ = [
     "weights",
 ]
 
-
-def __getattr__(name):
-    # oracle, and numpy with it, loads on first access; import_module is
-    # used because `from . import oracle` would recurse into this hook
-    if name == "oracle":
-        return importlib.import_module(".oracle", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

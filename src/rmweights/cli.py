@@ -14,7 +14,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 
-from . import weights
+from . import oracle, weights
 from .dims import CodeParams, is_prime_power, rho, rho_binomial, rho_recursive
 from .macaulay import INFINITY, decompose
 
@@ -30,11 +30,12 @@ def _parse_qparam(text: str):
 
 def _parse_range(text: str) -> range:
     """Parse '3' or '2..5' into an inclusive range."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, sep, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if sep else lo
+    except ValueError:
+        raise ValueError(f"bad range {text!r}; expected N or LO..HI") from None
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
@@ -155,7 +156,7 @@ def cmd_table(args, out) -> int:
     return 0
 
 
-def _verify_lex(oracle, params: CodeParams, args, out) -> bool:
+def _verify_lex(params: CodeParams, args, out) -> bool:
     k = params.dimension
     tuple_cap = args.cap if args.cap is not None else oracle.DEFAULT_TUPLE_CAP
     column = oracle.e_bar_lex_column(params, tuple_cap)
@@ -188,12 +189,13 @@ def _verify_lex(oracle, params: CodeParams, args, out) -> bool:
     return not mismatches
 
 
-def _verify_exhaustive(oracle, params: CodeParams, args, out) -> bool:
+def _verify_exhaustive(params: CodeParams, args, out) -> bool:
     k = params.dimension
     subspace_cap = args.cap if args.cap is not None else oracle.DEFAULT_SUBSPACE_CAP
     if args.r is not None:
         ranks = [args.r]
     else:
+        oracle.check_matrix_caps(params)  # before a rank scan that could only end at a cap
         ranks = [
             s
             for s in range(1, k + 1)
@@ -229,7 +231,7 @@ def _verify_exhaustive(oracle, params: CodeParams, args, out) -> bool:
     return not mismatches
 
 
-def _verify_dims(oracle, params: CodeParams, args, out) -> bool:
+def _verify_dims(params: CodeParams, args, out) -> bool:
     q, d, m = params.q, params.d, params.m
     tuple_cap = args.cap if args.cap is not None else oracle.DEFAULT_TUPLE_CAP
     # enumerate first: a code past the cap exits before the closed forms run
@@ -261,12 +263,8 @@ def _verify_dims(oracle, params: CodeParams, args, out) -> bool:
 
 def cmd_verify(args, out) -> int:
     params = CodeParams(args.q, args.d, args.m)
-    try:
-        from . import oracle
-    except ImportError:
-        raise ValueError("verify needs numpy; install rmweights[oracle]") from None
     verify = {"lex": _verify_lex, "exhaustive": _verify_exhaustive, "dims": _verify_dims}
-    passed = verify[args.oracle](oracle, params, args, out)
+    passed = verify[args.oracle](params, args, out)
     return 0 if passed else 1
 
 

@@ -44,14 +44,10 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _check_q(q: int) -> None:
+def _check_args(q: int, d: int, m: int) -> None:
+    """Checks shared by the three dimension routes and CodeParams."""
     if not isinstance(q, int) or not is_prime_power(q):
         raise ValueError("q must be a prime power")
-
-
-def _check_args(q: int, d: int, m: int) -> None:
-    """Checks shared by the three dimension routes, before any branch."""
-    _check_q(q)
     if not isinstance(d, int) or not isinstance(m, int):
         raise TypeError("d and m must be integers")
     if m < -1:
@@ -132,7 +128,7 @@ class CodeParams:
     m: int
 
     def __post_init__(self):
-        _check_q(self.q)
+        _check_args(self.q, self.d, self.m)
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if not 1 <= self.d <= self.m * (self.q - 1):

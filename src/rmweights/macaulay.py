@@ -131,6 +131,8 @@ def decompose(n: int, d: int, qparam) -> MacaulayRep:
     [-1, m_{i+1}].
     """
     _check_qparam(qparam)
+    if not isinstance(n, int):
+        raise TypeError("n must be an integer")
     if n < 0:
         raise ValueError("n must be >= 0")
     coeffs = []

@@ -23,8 +23,6 @@ import operator
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dims import CodeParams, _smallest_prime_factor
 
 DEFAULT_TUPLE_CAP = 10**8
@@ -76,54 +74,56 @@ class FieldTable:
         while self.p**self.degree < q:
             self.degree += 1
 
-        idx = np.arange(q, dtype=np.uint8)
         if self.degree == 1:
-            self.add_table = ((idx[:, None] + idx[None, :]) % q).astype(np.uint8)
-            self.mul_table = ((idx[:, None].astype(int) * idx[None, :]) % q).astype(np.uint8)
+            self.add_table = [[(a + b) % q for b in range(q)] for a in range(q)]
+            self.mul_table = [[a * b % q for b in range(q)] for a in range(q)]
         else:
             irr = _IRREDUCIBLE[q]
             p, k = self.p, self.degree
             digits = [[(i // p**j) % p for j in range(k)] for i in range(q)]
             undig = lambda ds: sum(c * p**j for j, c in enumerate(ds))
-            self.add_table = np.zeros((q, q), dtype=np.uint8)
-            self.mul_table = np.zeros((q, q), dtype=np.uint8)
-            for a in range(q):
-                for b in range(q):
-                    s = [(x + y) % p for x, y in zip(digits[a], digits[b])]
-                    self.add_table[a, b] = undig(s)
-                    self.mul_table[a, b] = undig(_poly_mul_mod(digits[a], digits[b], irr, p))
-
-        self.neg_table = np.argmax(self.add_table == 0, axis=1).astype(np.uint8)
-        self.inv_table = np.argmax(self.mul_table == 1, axis=1).astype(np.uint8)
+            self.add_table = [[undig((x + y) % p for x, y in zip(da, db)) for db in digits]
+                              for da in digits]
+            self.mul_table = [[undig(_poly_mul_mod(da, db, irr, p)) for db in digits]
+                              for da in digits]
         self._check_axioms()
 
+        self.neg_table = [row.index(0) for row in self.add_table]
+        self.inv_table = [0] + [row.index(1) for row in self.mul_table[1:]]
+        # translate tables: byte a*q + b -> a+b or a*b (q <= 16, so
+        # a*q + b <= 255), and byte b -> a*b for each a
+        pad = lambda cells: bytes(cells).ljust(256, b"\0")
+        self._add_pairs = pad(x for row in self.add_table for x in row)
+        self._mul_pairs = pad(x for row in self.mul_table for x in row)
+        self._scale = [pad(row) for row in self.mul_table]
+
     def _check_axioms(self):
-        q = self.q
-        idx = np.arange(q)
-        A, M = self.add_table, self.mul_table
-        ok = bool((A == A.T).all() and (M == M.T).all())
-        ok &= bool((A[0] == idx).all() and (M[1] == idx).all())
-        ok &= bool((A[A[:, :, None], idx[None, None, :]] == A[idx[:, None, None], A[None, :, :]]).all())
-        ok &= bool((M[M[:, :, None], idx[None, None, :]] == M[idx[:, None, None], M[None, :, :]]).all())
-        ok &= bool((M[idx[:, None, None], A[None, :, :]] == A[M[:, :, None], M[:, None, :]]).all())
-        ok &= bool((A == 0).any(axis=1).all())
-        ok &= bool((M[1:] == 1).any(axis=1).all())
+        A, M, R = self.add_table, self.mul_table, range(self.q)
+        ok = all(A[a][b] == A[b][a] and M[a][b] == M[b][a] for a in R for b in R)
+        ok &= list(A[0]) == list(R) and list(M[1]) == list(R)
+        ok &= all(
+            A[A[a][b]][c] == A[a][A[b][c]]
+            and M[M[a][b]][c] == M[a][M[b][c]]
+            and M[a][A[b][c]] == A[M[a][b]][M[a][c]]
+            for a in R for b in R for c in R
+        )
+        ok &= all(0 in row for row in A) and all(1 in row for row in M[1:])
         if not ok:
-            raise ValueError(f"constructed tables for q={q} violate the field axioms")
+            raise ValueError(f"constructed tables for q={self.q} violate the field axioms")
 
     def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
+        return self.add_table[a][b]
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
+        return self.mul_table[a][b]
 
     def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
+        return self.neg_table[a]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self.inv_table[a])
+        return self.inv_table[a]
 
     def pow(self, a: int, e: int) -> int:
         """a^e by repeated multiplication; a^0 = 1 for every a, including 0."""
@@ -131,8 +131,23 @@ class FieldTable:
             raise ValueError("exponent must be >= 0")
         out = 1
         for _ in range(e):
-            out = int(self.mul_table[out, a])
+            out = self.mul_table[out][a]
         return out
+
+    # vectors are bytes, one element per byte: one big-integer
+    # multiply-add packs the pairs x_t*q + y_t, one translate maps them
+    def vadd(self, x: bytes, y: bytes) -> bytes:
+        return self._pairwise(self._add_pairs, x, y)
+
+    def vmul(self, x: bytes, y: bytes) -> bytes:
+        return self._pairwise(self._mul_pairs, x, y)
+
+    def vscale(self, a: int, x: bytes) -> bytes:
+        return x.translate(self._scale[a])
+
+    def _pairwise(self, pairs: bytes, x: bytes, y: bytes) -> bytes:
+        z = int.from_bytes(x, "big") * self.q + int.from_bytes(y, "big")
+        return z.to_bytes(len(x), "big").translate(pairs)
 
     def __repr__(self):
         return f"FieldTable(q={self.q})"
@@ -208,40 +223,48 @@ def e_bar_lex(params: CodeParams, r: int, cap: int = DEFAULT_TUPLE_CAP) -> int:
 class GeneratorMatrix:
     """Evaluations of all reduced monomials of degree <= d at every affine point.
 
-    rows[i, j] is the value of the monomial with exponent row_labels[i]
-    at the point column_labels[j], as a field-element index.  Rows are
+    Each row is `bytes`: rows[i][j] is the value of the monomial with
+    exponent row_labels[i] at the point column_labels[j].  Rows are
     ordered by total degree, then descending lexicographic on the
     exponent tuple; columns lexicographically by point coordinates.
     """
 
     params: CodeParams
     field: FieldTable
-    rows: np.ndarray
+    rows: tuple
     row_labels: tuple
     column_labels: tuple
 
 
-def _field_rank(field: FieldTable, matrix: np.ndarray) -> int:
-    """Rank over GF(q) by Gaussian elimination with table arithmetic."""
-    A = matrix.copy()
-    nrows, ncols = A.shape
-    add, mul = field.add_table, field.mul_table
+def _field_rank(field: FieldTable, rows) -> int:
+    """Rank over GF(q) of `bytes` rows, by Gaussian elimination."""
+    A = list(rows)
+    nrows, ncols = len(A), len(A[0]) if A else 0
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if A[i, c]), None)
+        piv = next((i for i in range(r, nrows) if A[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        A[r] = mul[field.inv(int(A[r, c])), A[r]]
+        A[r], A[piv] = A[piv], A[r]
+        A[r] = field.vscale(field.inv(A[r][c]), A[r])
         for i in range(r + 1, nrows):
-            if A[i, c]:
-                factor = field.neg(int(A[i, c]))
-                A[i] = add[A[i], mul[factor, A[r]]]
+            if A[i][c]:
+                A[i] = field.vadd(A[i], field.vscale(field.neg(A[i][c]), A[r]))
         r += 1
     return r
+
+
+def check_matrix_caps(params: CodeParams, max_points: int = DEFAULT_MAX_POINTS,
+                      max_rows: int = DEFAULT_MAX_ROWS) -> None:
+    """Raise ValueError if the generator matrix of `params` has more
+    columns (q^m) or rows (the dimension) than its caps allow."""
+    q, m = params.q, params.m
+    if (n := q**m) > max_points:
+        raise ValueError(f"q^m = {_decimal_or(n, f'{q}^{m}')} exceeds the column cap {max_points}")
+    if (k := params.dimension) > max_rows:
+        raise ValueError(f"dimension {k} exceeds the row cap {max_rows}")
 
 
 def rm_generator_matrix(
@@ -250,41 +273,36 @@ def rm_generator_matrix(
     max_rows: int = DEFAULT_MAX_ROWS,
 ) -> GeneratorMatrix:
     """Build the generator matrix of RM(d, m) over F_q by direct evaluation."""
-    q, d, m = params.q, params.d, params.m
-    n = q**m
-    if n > max_points:
-        raise ValueError(f"q^m = {_decimal_or(n, f'{q}^{m}')} exceeds the column cap {max_points}")
-    k = params.dimension
-    if k > max_rows:
-        raise ValueError(f"dimension {k} exceeds the row cap {max_rows}")
+    check_matrix_caps(params, max_points, max_rows)
+    q, d, m, k = params.q, params.d, params.m, params.dimension
 
     field = build_field(q)
     exponents = [a for a in itertools.product(range(q), repeat=m) if sum(a) <= d]
     exponents.sort(key=lambda a: (sum(a), tuple(-c for c in a)))
     assert len(exponents) == k
     points = tuple(itertools.product(range(q), repeat=m))
-    pts = np.array(points, dtype=np.uint8)
 
-    # pow_table[a, e] = a^e with the 0^0 = 1 convention
-    pow_table = np.zeros((q, q), dtype=np.uint8)
-    pow_table[:, 0] = 1
-    for e in range(1, q):
-        pow_table[:, e] = field.mul_table[pow_table[:, e - 1], np.arange(q)]
-
-    rows = np.empty((k, n), dtype=np.uint8)
-    for ridx, alpha in enumerate(exponents):
-        row = np.ones(n, dtype=np.uint8)
-        for i in range(m):
-            if alpha[i]:
-                row = field.mul_table[row, pow_table[pts[:, i], alpha[i]]]
-        rows[ridx] = row
+    # powers[i][e] = x_i^e at every point (0^0 = 1); coordinate i is
+    # constant on runs of q^(m-1-i) points, which repeat q^i times
+    powers = [
+        [b"".join(bytes([field.pow(a, e)]) * q ** (m - 1 - i) for a in range(q)) * q**i
+         for e in range(q)]
+        for i in range(m)
+    ]
+    rows = []
+    for alpha in exponents:
+        row = powers[0][0]  # all ones
+        for i, e in enumerate(alpha):
+            if e:
+                row = field.vmul(row, powers[i][e])
+        rows.append(row)
 
     if _field_rank(field, rows) != k:
         raise ValueError("evaluation matrix is rank-deficient")
     return GeneratorMatrix(
         params=params,
         field=field,
-        rows=rows,
+        rows=tuple(rows),
         row_labels=tuple(exponents),
         column_labels=points,
     )
@@ -293,26 +311,20 @@ def rm_generator_matrix(
 def _rref_bases(k: int, r: int, q: int):
     """Yield every r-dimensional subspace of F_q^k exactly once.
 
-    Each subspace is produced as its unique reduced-row-echelon basis:
-    pick the pivot columns, put 1s there, and run through all field
-    values for the free positions (right of the row's pivot, outside
-    pivot columns).
+    Each subspace is produced as its unique reduced-row-echelon basis,
+    a tuple of r rows of k field elements: pick the pivot columns, put
+    1s there, and run through all field values for the free positions
+    (right of the row's pivot, outside pivot columns).
     """
     for pivots in itertools.combinations(range(k), r):
-        base = np.zeros((r, k), dtype=np.uint8)
-        for i, p in enumerate(pivots):
-            base[i, p] = 1
-        free = [
-            (i, j)
-            for i in range(r)
-            for j in range(pivots[i] + 1, k)
-            if j not in pivots
-        ]
+        free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, k) if j not in pivots]
         for values in itertools.product(range(q), repeat=len(free)):
-            B = base.copy()
+            B = [[0] * k for _ in range(r)]
+            for i, p in enumerate(pivots):
+                B[i][p] = 1
             for (i, j), v in zip(free, values):
-                B[i, j] = v
-            yield B
+                B[i][j] = v
+            yield tuple(map(tuple, B))
 
 
 def min_subspace_support(
@@ -337,23 +349,22 @@ def min_subspace_support(
         )
 
     gen = rm_generator_matrix(params)
-    q, n = params.q, params.length
-    add = gen.field.add_table
-    # scaled[v, j] = v * (row j of the generator matrix)
-    scaled = gen.field.mul_table[
-        np.arange(q, dtype=np.uint8)[:, None, None], gen.rows[None, :, :]
-    ]
+    field, n = gen.field, params.length
+    # scaled[v][j] = v * (row j of the generator matrix)
+    scaled = [[field.vscale(v, row) for row in gen.rows] for v in range(params.q)]
+    nonzero = bytes([0]) + bytes([1]) * 255  # translate: element -> 1 if nonzero
 
     best = n + 1
     seen = 0
-    for basis in _rref_bases(k, r, q):
-        nonzero = np.zeros(n, dtype=bool)
-        for i in range(r):
-            cw = np.zeros(n, dtype=np.uint8)
-            for j in np.flatnonzero(basis[i]):
-                cw = add[cw, scaled[basis[i, j], j]]
-            nonzero |= cw != 0
-        support = int(np.count_nonzero(nonzero))
+    for basis in _rref_bases(k, r, params.q):
+        union = 0  # one set bit per coordinate where a basis codeword is nonzero
+        for vector in basis:
+            cw = bytes(n)
+            for j, v in enumerate(vector):
+                if v:
+                    cw = field.vadd(cw, scaled[v][j])
+            union |= int.from_bytes(cw.translate(nonzero), "big")
+        support = union.bit_count()
         if support < best:
             best = support
         seen += 1

@@ -34,6 +34,8 @@ def coeffs_to_mu(rep: MacaulayRep, m: int) -> tuple[int, ...]:
 
 def _rank_rep(params: CodeParams, r: int) -> MacaulayRep:
     """Macaulay representation of rho_q(d, m) - r, for r in [1, rho_q(d, m)]."""
+    if not isinstance(r, int):
+        raise TypeError("r must be an integer")
     k = params.dimension
     if not 1 <= r <= k:
         raise ValueError(f"r must be in [1, {k}]")

@@ -167,6 +167,10 @@ def test_table_rejects_empty_range(capsys):
     code, _, err = run(capsys, "table", "--q", "3..2", "--m", "1")
     assert code == 2
     assert "empty range" in err
+    for bad in ("2..x", "2.."):
+        code, out, err = run(capsys, "table", "--q", bad, "--m", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad range '{bad}'; expected N or LO..HI\n"
 
 
 @pytest.mark.parametrize(
@@ -282,6 +286,14 @@ def test_verify_exhaustive_names_an_oversized_subspace_count(capsys):
     assert err.startswith(f"error: [20001, 1]_2 subspaces exceeds the cap {10**7};")
 
 
+def test_verify_exhaustive_checks_the_matrix_caps_before_its_rank_scan():
+    # the caps are checked before a rank scan over about 1.2e9 ranks
+    argv = ("--q", "2", "--d", "10", "--m", "40", "--oracle", "exhaustive")
+    proc = _run_python("-m", "rmweights.cli", "verify", *argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: q^m = {2**40} exceeds the column cap {10**6}\n"
+
+
 def test_verify_dims_rejects_an_oversized_code_before_the_closed_forms():
     # the closed forms of this code take minutes; the cap check takes none
     argv = ("--q", "2", "--d", "1000", "--m", "100000", "--oracle", "dims")
@@ -331,32 +343,19 @@ def test_demo_runs(demo):
 
 
 def test_closed_forms_do_not_load_numpy():
-    proc = _run_python(
-        "-c",
-        "import sys, rmweights, rmweights.cli\n"
-        "assert rmweights.cli.main(['dim', '--q', '2', '--d', '3', '--m', '5']) == 0\n"
-        "assert 'numpy' not in sys.modules\n"
-        "assert rmweights.oracle.DEFAULT_TUPLE_CAP == 10**8\n"
-        "assert 'numpy' in sys.modules\n"
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "26\n"
-
-
-def test_verify_without_numpy_is_a_usage_error():
     # a None entry in sys.modules makes `import numpy` fail as if absent
     proc = _run_python(
         "-c",
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "from rmweights.cli import main\n"
-        "assert main(['dim', '--q', '2', '--d', '3', '--m', '5']) == 0\n"
-        "code = main(['verify', '--q', '2', '--d', '3', '--m', '5', '--oracle', 'dims'])\n"
-        "assert code == 2, code\n"
+        "code = ['--q', '2', '--d', '1', '--m', '2']\n"
+        "assert main(['dim', *code]) == 0\n"
+        "for oracle in (['lex'], ['exhaustive', '--r', '1'], ['dims']):\n"
+        "    assert main(['verify', *code, '--oracle', *oracle]) == 0, oracle\n"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "26\n"
-    assert proc.stderr == "error: verify needs numpy; install rmweights[oracle]\n"
+    assert proc.stdout == "3\nPASS (3 ranks checked)\nPASS d_1 = 2\nPASS rho = 3 by 4 methods\n"
 
 
 def test_verify_dims_json(capsys):

@@ -185,6 +185,10 @@ def test_code_params_validation():
         CodeParams(2, 4, 3)  # d > m(q-1)
     with pytest.raises(ValueError):
         CodeParams(2, 1, 0)
+    # a float d or m would make the length and weights floats
+    for args in ((2, 2, 3.0), (2, 2.0, 3), (2, 2.5, 3)):
+        with pytest.raises(TypeError):
+            CodeParams(*args)
 
 
 @settings(deadline=None)

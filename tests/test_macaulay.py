@@ -32,6 +32,10 @@ def test_decompose_examples():
     assert decompose(5, 2, 2).coeffs == (2, 0)
     assert decompose(0, 3, 2).coeffs == (-1, -1, -1)
     assert decompose(25, 3, 2).coeffs == (4, 3, 2)
+    with pytest.raises(TypeError):
+        decompose(2.5, 1, 2)  # not silently the representation of 2
+    with pytest.raises(ValueError):
+        decompose(-1, 1, 2)
 
 
 def test_decompose_classical():

@@ -46,6 +46,9 @@ def test_r_out_of_range():
             e_bar(p, r)
     with pytest.raises(ValueError):
         mu_tuple(p, 0)
+    for r in (2.5, 3.0):  # a float rank is rejected, not rounded to a neighbour
+        with pytest.raises(TypeError):
+            ghw(CodeParams(4, 3, 3), r)
 
 
 def test_hierarchy_examples():
