@@ -9,6 +9,7 @@ ever squeezed through a double.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -268,7 +269,11 @@ def cmd_verify(args, out) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one, so repeated in-process calls of `main` build it once.  Callers
+    must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="rmweights",
         description="Dimensions and generalized Hamming weights of q-ary Reed-Muller codes.",

@@ -29,6 +29,7 @@ DEFAULT_TUPLE_CAP = 10**8
 DEFAULT_SUBSPACE_CAP = 10**7
 DEFAULT_MAX_POINTS = 10**6
 DEFAULT_MAX_ROWS = 10**4
+MAX_CELLS = 10**8  # rows times columns of a generator matrix, one byte each
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
@@ -162,6 +163,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over F_q."""
     if k < 0 or k > n:
         return 0
+    k = min(k, n - k)  # [n, k]_q = [n, n - k]_q
     num = 1
     den = 1
     for i in range(k):
@@ -259,12 +261,15 @@ def _field_rank(field: FieldTable, rows) -> int:
 def check_matrix_caps(params: CodeParams, max_points: int = DEFAULT_MAX_POINTS,
                       max_rows: int = DEFAULT_MAX_ROWS) -> None:
     """Raise ValueError if the generator matrix of `params` has more
-    columns (q^m) or rows (the dimension) than its caps allow."""
+    columns (q^m), rows (the dimension) or cells (rows times columns)
+    than its caps allow."""
     q, m = params.q, params.m
     if (n := q**m) > max_points:
         raise ValueError(f"q^m = {_decimal_or(n, f'{q}^{m}')} exceeds the column cap {max_points}")
     if (k := params.dimension) > max_rows:
         raise ValueError(f"dimension {k} exceeds the row cap {max_rows}")
+    if k * n > MAX_CELLS:
+        raise ValueError(f"{k} x {n} = {k * n} matrix cells exceed the cell cap {MAX_CELLS}")
 
 
 def rm_generator_matrix(

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -294,6 +295,16 @@ def test_verify_exhaustive_checks_the_matrix_caps_before_its_rank_scan():
     assert proc.stderr == f"error: q^m = {2**40} exceeds the column cap {10**6}\n"
 
 
+def test_verify_exhaustive_rejects_a_matrix_past_the_cell_cap():
+    # 5,036 x 524,288 passes the row and column caps; its top rank is one subspace
+    argv = ("--q", "2", "--d", "4", "--m", "19", "--oracle", "exhaustive", "--r", "5036")
+    proc = _run_python("-m", "rmweights.cli", "verify", *argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: 5036 x 524288 = {5036 * 524288} matrix cells exceed the cell cap {10**8}\n"
+    )
+
+
 def test_verify_dims_rejects_an_oversized_code_before_the_closed_forms():
     # the closed forms of this code take minutes; the cap check takes none
     argv = ("--q", "2", "--d", "1000", "--m", "100000", "--oracle", "dims")
@@ -383,3 +394,47 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, *args)
     second = run(capsys, *args)
     assert first == second
+
+
+CODE = ("--q", "2", "--d", "1", "--m", "2")
+REUSE_SEQUENCE = [
+    ("verify", *CODE, "--oracle", "exhaustive", "--r", "2", "--cap", "5", "--format", "json"),
+    ("verify", *CODE, "--oracle", "exhaustive"),
+    ("dim", *CODE, "--format", "csv"),
+    ("verify", "--help"),
+    ("verify", *CODE, "--oracle", "bogus"),
+    ("ghw", *CODE, "--r", "1"),
+]
+
+
+def test_parser_reuse_leaks_nothing_between_calls(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        proc = _run_python("-m", "rmweights.cli", *argv)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    # [3, 2]_2 = 7 subspaces exceed --cap 5, so the first call exits 2 after parsing
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 2, 0]
+    for _ in range(2):  # the second pass runs on a parser the first one used
+        for argv, want in zip(REUSE_SEQUENCE, fresh):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == want, argv
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(10):
+        assert main(["dim", *CODE]) == 0
+    assert capsys.readouterr().out == "3\n" * 10
+    assert progs.count("rmweights") <= 1  # subparsers are named "rmweights <command>"

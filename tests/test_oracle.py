@@ -7,6 +7,7 @@ from rmweights.oracle import (
     SUPPORTED_Q,
     FieldTable,
     build_field,
+    check_matrix_caps,
     count_reduced_monomials,
     e_bar_lex,
     e_bar_lex_column,
@@ -97,6 +98,9 @@ def test_gaussian_binomial():
     assert gaussian_binomial(3, 4, 2) == 0
     assert gaussian_binomial(4, -1, 2) == 0
     assert gaussian_binomial(5, 3, 2) == gaussian_binomial(5, 2, 2)
+    # the product runs over min(k, n - k) factors, so these are instant
+    assert gaussian_binomial(5036, 5036, 2) == 1
+    assert gaussian_binomial(5000, 4999, 2) == 2**5000 - 1
 
 
 def test_count_reduced_monomials():
@@ -164,6 +168,9 @@ def test_generator_matrix_caps():
         rm_generator_matrix(CodeParams(2, 1, 3), max_points=4)
     with pytest.raises(ValueError, match="row cap"):
         rm_generator_matrix(CodeParams(2, 2, 3), max_rows=3)
+    # k = 5,036 rows and q^m = 524,288 columns each fit their cap; the product does not
+    with pytest.raises(ValueError, match="exceed the cell cap"):
+        check_matrix_caps(CodeParams(2, 4, 19))
 
 
 @pytest.fixture
