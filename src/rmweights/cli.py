@@ -197,11 +197,7 @@ def _verify_exhaustive(params: CodeParams, args, out) -> bool:
         ranks = [args.r]
     else:
         oracle.check_matrix_caps(params)  # before a rank scan that could only end at a cap
-        ranks = [
-            s
-            for s in range(1, k + 1)
-            if oracle.gaussian_binomial(k, s, params.q) <= subspace_cap
-        ]
+        ranks = oracle.ranks_under_cap(k, params.q, subspace_cap)
         if not ranks:
             raise ValueError("no rank fits under the subspace cap; pass --r or raise --cap")
     rows = [

@@ -27,9 +27,9 @@ from .dims import CodeParams, _smallest_prime_factor
 
 DEFAULT_TUPLE_CAP = 10**8
 DEFAULT_SUBSPACE_CAP = 10**7
-DEFAULT_MAX_POINTS = 10**6
-DEFAULT_MAX_ROWS = 10**4
-MAX_CELLS = 10**8  # rows times columns of a generator matrix, one byte each
+MAX_POINTS = 10**6  # columns (q^m) of a generator matrix
+# rows times columns, one byte each; since k <= q^m it also caps the rows at 10^4
+MAX_CELLS = 10**8
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
@@ -169,18 +169,41 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (k - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"[{n}, {k}]_{q}: the product does not divide exactly")
     return num // den
+
+
+def ranks_under_cap(k: int, q: int, cap: int) -> list:
+    """The ranks s in 1..k with [k, s]_q <= cap, in increasing order.
+
+    [k, s]_q = [k, k - s]_q rises with s up to k/2, so they are 1..a and
+    k-a..k.  Each count is stepped from the one before, and the walk
+    stops at the first s past the cap."""
+    if cap < 1:
+        return []
+    a, count = 0, 1  # [k, 0]_q
+    while a < k - a:
+        count = count * (q ** (k - a) - 1) // (q ** (a + 1) - 1)  # [k, a + 1]_q
+        if count > cap:
+            break
+        a += 1
+    return sorted({*range(1, a + 1), *range(max(k - a, 1), k + 1)})
+
+
+def _digit_limit() -> int:
+    """The int -> str digit limit of Python 3.10.7+; 0 is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _decimal_or(n: int, fallback: str) -> int | str:
     """n for a cap message, or `fallback` where n has more digits than
-    int -> str conversion allows (Python 3.10.7+ limits it; 0 is none)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    int -> str conversion allows."""
+    limit = _digit_limit()
     return n if not limit or n < 10**limit else fallback
 
 
-def _check_enumeration_args(q: int, d: int, m: int, cap: int) -> None:
+def _check_enumeration_args(q: int, m: int, cap: int) -> None:
     if q < 2:
         raise ValueError("q must be >= 2")
     if m < 0:
@@ -191,13 +214,13 @@ def _check_enumeration_args(q: int, d: int, m: int, cap: int) -> None:
 
 def count_reduced_monomials(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> int:
     """Count tuples in {0..q-1}^m with sum <= d by walking all of them."""
-    _check_enumeration_args(q, d, m, cap)
+    _check_enumeration_args(q, m, cap)
     return sum(1 for t in itertools.product(range(q), repeat=m) if sum(t) <= d)
 
 
 def enumerate_tuples(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> tuple:
     """All tuples in {0..q-1}^m with sum <= d, descending lexicographic."""
-    _check_enumeration_args(q, d, m, cap)
+    _check_enumeration_args(q, m, cap)
     # filter, then sort: slower than generating in order, but the
     # result is obviously the descending lexicographic listing
     tuples = (t for t in itertools.product(range(q), repeat=m) if sum(t) <= d)
@@ -226,16 +249,14 @@ class GeneratorMatrix:
     """Evaluations of all reduced monomials of degree <= d at every affine point.
 
     Each row is `bytes`: rows[i][j] is the value of the monomial with
-    exponent row_labels[i] at the point column_labels[j].  Rows are
-    ordered by total degree, then descending lexicographic on the
-    exponent tuple; columns lexicographically by point coordinates.
+    exponent row_labels[i] at the j-th point of F_q^m.  Rows are ordered
+    by total degree, then descending lexicographic on the exponent
+    tuple; columns lexicographically by point coordinates.
     """
 
-    params: CodeParams
     field: FieldTable
     rows: tuple
     row_labels: tuple
-    column_labels: tuple
 
 
 def _field_rank(field: FieldTable, rows) -> int:
@@ -258,78 +279,90 @@ def _field_rank(field: FieldTable, rows) -> int:
     return r
 
 
-def check_matrix_caps(params: CodeParams, max_points: int = DEFAULT_MAX_POINTS,
-                      max_rows: int = DEFAULT_MAX_ROWS) -> None:
+def check_matrix_caps(params: CodeParams) -> None:
     """Raise ValueError if the generator matrix of `params` has more
-    columns (q^m), rows (the dimension) or cells (rows times columns)
-    than its caps allow."""
+    columns (q^m) than MAX_POINTS or more cells (rows times columns)
+    than MAX_CELLS."""
     q, m = params.q, params.m
-    if (n := q**m) > max_points:
-        raise ValueError(f"q^m = {_decimal_or(n, f'{q}^{m}')} exceeds the column cap {max_points}")
-    if (k := params.dimension) > max_rows:
-        raise ValueError(f"dimension {k} exceeds the row cap {max_rows}")
-    if k * n > MAX_CELLS:
+    if (n := q**m) > MAX_POINTS:
+        raise ValueError(f"q^m = {_decimal_or(n, f'{q}^{m}')} exceeds the column cap {MAX_POINTS}")
+    if (k := params.dimension) * n > MAX_CELLS:
         raise ValueError(f"{k} x {n} = {k * n} matrix cells exceed the cell cap {MAX_CELLS}")
 
 
-def rm_generator_matrix(
-    params: CodeParams,
-    max_points: int = DEFAULT_MAX_POINTS,
-    max_rows: int = DEFAULT_MAX_ROWS,
-) -> GeneratorMatrix:
+def rm_generator_matrix(params: CodeParams) -> GeneratorMatrix:
     """Build the generator matrix of RM(d, m) over F_q by direct evaluation."""
-    check_matrix_caps(params, max_points, max_rows)
+    check_matrix_caps(params)
     q, d, m, k = params.q, params.d, params.m, params.dimension
 
     field = build_field(q)
     exponents = [a for a in itertools.product(range(q), repeat=m) if sum(a) <= d]
     exponents.sort(key=lambda a: (sum(a), tuple(-c for c in a)))
-    assert len(exponents) == k
-    points = tuple(itertools.product(range(q), repeat=m))
+    if len(exponents) != k:
+        raise AssertionError(f"{len(exponents)} exponent tuples, not the dimension {k}")
 
-    # powers[i][e] = x_i^e at every point (0^0 = 1); coordinate i is
-    # constant on runs of q^(m-1-i) points, which repeat q^i times
+    # powers[i][e-1] = x_i^e at every point, e <= min(d, q-1), so each is a
+    # row; coordinate i is constant on runs of q^(m-1-i) points, q^i times
     powers = [
         [b"".join(bytes([field.pow(a, e)]) * q ** (m - 1 - i) for a in range(q)) * q**i
-         for e in range(q)]
+         for e in range(1, min(d, q - 1) + 1)]
         for i in range(m)
     ]
+    ones = bytes([1]) * q**m
     rows = []
     for alpha in exponents:
-        row = powers[0][0]  # all ones
+        row = ones
         for i, e in enumerate(alpha):
             if e:
-                row = field.vmul(row, powers[i][e])
+                row = field.vmul(row, powers[i][e - 1])
         rows.append(row)
+    del powers  # before the elimination copy
 
     if _field_rank(field, rows) != k:
         raise ValueError("evaluation matrix is rank-deficient")
-    return GeneratorMatrix(
-        params=params,
-        field=field,
-        rows=tuple(rows),
-        row_labels=tuple(exponents),
-        column_labels=points,
-    )
+    return GeneratorMatrix(field=field, rows=tuple(rows), row_labels=tuple(exponents))
 
 
 def _rref_bases(k: int, r: int, q: int):
     """Yield every r-dimensional subspace of F_q^k exactly once.
 
     Each subspace is produced as its unique reduced-row-echelon basis,
-    a tuple of r rows of k field elements: pick the pivot columns, put
-    1s there, and run through all field values for the free positions
-    (right of the row's pivot, outside pivot columns).
+    a tuple of r `bytes` rows of k field elements (one byte each, so a
+    basis is no bigger than the generator matrix): pick the pivot
+    columns, put 1s there, and run through all field values for the
+    free positions (right of the row's pivot, outside pivot columns).
     """
     for pivots in itertools.combinations(range(k), r):
-        free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, k) if j not in pivots]
+        pivot_set = set(pivots)
+        free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, k) if j not in pivot_set]
         for values in itertools.product(range(q), repeat=len(free)):
-            B = [[0] * k for _ in range(r)]
+            B = [bytearray(k) for _ in range(r)]
             for i, p in enumerate(pivots):
                 B[i][p] = 1
             for (i, j), v in zip(free, values):
                 B[i][j] = v
-            yield tuple(map(tuple, B))
+            for i, row in enumerate(B):
+                B[i] = bytes(row)  # one row at a time, so one basis copy at most
+            yield tuple(B)
+
+
+def _count_subspaces(k: int, r: int, q: int, cap: int) -> int:
+    """[k, r]_q, or ValueError if it exceeds `cap`.
+
+    [k, r]_q >= q^(r(k-r)) >= 2^bits.  Past 4 bits per allowed digit the
+    count has more digits than int -> str conversion allows and exceeds
+    every cap below 2^bits, so it is named, not computed."""
+    shown = f"[{k}, {r}]_{q}"  # Gaussian binomial
+    bits = r * (k - r) * (q.bit_length() - 1)
+    if not ((limit := _digit_limit()) and bits > 4 * limit and cap.bit_length() <= bits):
+        n_subspaces = gaussian_binomial(k, r, q)
+        if n_subspaces <= cap:
+            return n_subspaces
+        shown = _decimal_or(n_subspaces, shown)
+    raise ValueError(
+        f"{shown} subspaces exceeds the cap {cap};"
+        " use the lexicographic oracle for these parameters"
+    )
 
 
 def min_subspace_support(
@@ -345,18 +378,10 @@ def min_subspace_support(
     k = params.dimension
     if not 1 <= r <= k:
         raise ValueError(f"r must be in [1, {k}]")
-    n_subspaces = gaussian_binomial(k, r, params.q)
-    if n_subspaces > cap:
-        shown = _decimal_or(n_subspaces, f"[{k}, {r}]_{params.q}")  # Gaussian binomial
-        raise ValueError(
-            f"{shown} subspaces exceeds the cap {cap};"
-            " use the lexicographic oracle for these parameters"
-        )
+    n_subspaces = _count_subspaces(k, r, params.q, cap)
 
     gen = rm_generator_matrix(params)
     field, n = gen.field, params.length
-    # scaled[v][j] = v * (row j of the generator matrix)
-    scaled = [[field.vscale(v, row) for row in gen.rows] for v in range(params.q)]
     nonzero = bytes([0]) + bytes([1]) * 255  # translate: element -> 1 if nonzero
 
     best = n + 1
@@ -365,13 +390,14 @@ def min_subspace_support(
         union = 0  # one set bit per coordinate where a basis codeword is nonzero
         for vector in basis:
             cw = bytes(n)
-            for j, v in enumerate(vector):
+            for v, row in zip(vector, gen.rows):
                 if v:
-                    cw = field.vadd(cw, scaled[v][j])
+                    cw = field.vadd(cw, row if v == 1 else field.vscale(v, row))
             union |= int.from_bytes(cw.translate(nonzero), "big")
         support = union.bit_count()
         if support < best:
             best = support
         seen += 1
-    assert seen == n_subspaces
+    if seen != n_subspaces:
+        raise AssertionError(f"scanned {seen} subspaces, not [{k}, {r}]_{params.q} = {n_subspaces}")
     return best

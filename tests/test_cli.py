@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -296,12 +297,30 @@ def test_verify_exhaustive_checks_the_matrix_caps_before_its_rank_scan():
 
 
 def test_verify_exhaustive_rejects_a_matrix_past_the_cell_cap():
-    # 5,036 x 524,288 passes the row and column caps; its top rank is one subspace
+    # 5,036 x 524,288 passes the column cap; its top rank is one subspace
     argv = ("--q", "2", "--d", "4", "--m", "19", "--oracle", "exhaustive", "--r", "5036")
     proc = _run_python("-m", "rmweights.cli", "verify", *argv, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
         f"error: 5036 x 524288 = {5036 * 524288} matrix cells exceed the cell cap {10**8}\n"
+    )
+
+
+def test_verify_exhaustive_scans_only_the_ranks_under_the_cap():
+    # k = 2,380: only the top rank fits, and no middle count is computed
+    argv = ("--q", "2", "--d", "5", "--m", "13", "--oracle", "exhaustive")
+    proc = _run_python("-m", "rmweights.cli", "verify", *argv, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "PASS d_2380 = 8192\n", "")
+
+
+def test_verify_exhaustive_names_a_mid_rank_count_without_computing_it():
+    # [5036, 2518]_2 >= 2^(2518^2) has far more digits than int -> str allows
+    argv = ("--q", "2", "--d", "4", "--m", "19", "--oracle", "exhaustive", "--r", "2518")
+    proc = _run_python("-m", "rmweights.cli", "verify", *argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: [5036, 2518]_2 subspaces exceeds the cap {10**7};"
+        " use the lexicographic oracle for these parameters\n"
     )
 
 
@@ -345,6 +364,27 @@ def _run_python(*args, timeout=60):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def test_self_checks_survive_python_O():
+    # drop one subspace from the scan: the minimum is still 6, so only the
+    # count check can tell, and `python -O` strips a plain assert
+    script = textwrap.dedent("""
+        import itertools, sys
+        from rmweights import oracle
+        from rmweights.dims import CodeParams
+
+        print("optimize", sys.flags.optimize)
+        bases = oracle._rref_bases
+        oracle._rref_bases = lambda *args: itertools.islice(bases(*args), 1, None)
+        try:
+            print(oracle.min_subspace_support(CodeParams(2, 1, 3), 2))
+        except AssertionError as exc:
+            print(exc)
+    """)
+    proc = _run_python("-O", "-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "optimize 1\nscanned 34 subspaces, not [4, 2]_2 = 35\n"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

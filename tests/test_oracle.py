@@ -1,4 +1,6 @@
+import dataclasses
 import sys
+import tracemalloc
 
 import pytest
 
@@ -6,6 +8,7 @@ from rmweights.dims import CodeParams
 from rmweights.oracle import (
     SUPPORTED_Q,
     FieldTable,
+    GeneratorMatrix,
     build_field,
     check_matrix_caps,
     count_reduced_monomials,
@@ -14,6 +17,7 @@ from rmweights.oracle import (
     enumerate_tuples,
     gaussian_binomial,
     min_subspace_support,
+    ranks_under_cap,
     rm_generator_matrix,
 )
 from rmweights.weights import ghw, hierarchy
@@ -103,6 +107,14 @@ def test_gaussian_binomial():
     assert gaussian_binomial(5000, 4999, 2) == 2**5000 - 1
 
 
+def test_ranks_under_cap_matches_the_filter_over_every_rank():
+    for k in range(40):
+        for q in (2, 3, 4, 9):
+            for cap in (0, 1, 5, 100, 10**4, 10**7):
+                want = [s for s in range(1, k + 1) if gaussian_binomial(k, s, q) <= cap]
+                assert ranks_under_cap(k, q, cap) == want, (k, q, cap)
+
+
 def test_count_reduced_monomials():
     assert count_reduced_monomials(2, 3, 5) == 26
     assert count_reduced_monomials(4, 3, 3) == 20
@@ -150,7 +162,6 @@ def test_e_bar_lex_column_examples():
 def test_generator_matrix_example():
     gen = rm_generator_matrix(CodeParams(2, 1, 2))
     assert gen.row_labels == ((0, 0), (1, 0), (0, 1))
-    assert gen.column_labels == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert [list(row) for row in gen.rows] == [[1, 1, 1, 1], [0, 0, 1, 1], [0, 1, 0, 1]]
 
 
@@ -163,14 +174,41 @@ def test_generator_matrix_shape_and_rank():
         assert degrees == sorted(degrees)
 
 
+def test_generator_matrix_holds_only_its_field_rows_and_labels():
+    names = [f.name for f in dataclasses.fields(GeneratorMatrix)]
+    assert names == ["field", "rows", "row_labels"]
+
+
 def test_generator_matrix_caps():
-    with pytest.raises(ValueError, match="column cap"):
-        rm_generator_matrix(CodeParams(2, 1, 3), max_points=4)
-    with pytest.raises(ValueError, match="row cap"):
-        rm_generator_matrix(CodeParams(2, 2, 3), max_rows=3)
-    # k = 5,036 rows and q^m = 524,288 columns each fit their cap; the product does not
+    with pytest.raises(ValueError, match=f"^q\\^m = {2**20} exceeds the column cap {10**6}$"):
+        rm_generator_matrix(CodeParams(2, 1, 20))
+    # k = 354,522 rows: no row cap is needed, since k <= q^m makes the cell cap keep k <= 10^4
+    with pytest.raises(ValueError, match=f"^354522 x 524288 = {354522 * 524288} matrix cells"):
+        rm_generator_matrix(CodeParams(2, 10, 19))
+    # k = 5,036 rows and q^m = 524,288 columns: the columns fit their cap, the cells do not
     with pytest.raises(ValueError, match="exceed the cell cap"):
         check_matrix_caps(CodeParams(2, 4, 19))
+
+
+@pytest.mark.parametrize(
+    "params, r",
+    [(CodeParams(2, 1, 16), None), (CodeParams(16, 6, 3), 84), (CodeParams(2, 8, 9), 511)],
+    ids=str,
+)
+def test_generator_matrix_memory_stays_near_its_cells(params, r):
+    # the cell cap bounds memory only if nothing else grows past the
+    # matrix: no listing of the points, no scaled copies of its rows, and
+    # a top-rank basis (k x k, with k close to q^m) of one byte per entry
+    tracemalloc.start()
+    try:
+        if r is None:
+            rm_generator_matrix(params)
+        else:
+            min_subspace_support(params, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * params.dimension * params.length
 
 
 @pytest.fixture
