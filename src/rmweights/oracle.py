@@ -191,6 +191,10 @@ def ranks_under_cap(k: int, q: int, cap: int) -> list:
     return sorted({*range(1, a + 1), *range(max(k - a, 1), k + 1)})
 
 
+# the int -> str digit limit that Python starts with (4300 since 3.10.7)
+_DEFAULT_DIGIT_LIMIT = getattr(sys.int_info, "default_max_str_digits", 4300)
+
+
 def _digit_limit() -> int:
     """The int -> str digit limit of Python 3.10.7+; 0 is none."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -349,12 +353,15 @@ def _rref_bases(k: int, r: int, q: int):
 def _count_subspaces(k: int, r: int, q: int, cap: int) -> int:
     """[k, r]_q, or ValueError if it exceeds `cap`.
 
-    [k, r]_q >= q^(r(k-r)) >= 2^bits.  Past 4 bits per allowed digit the
-    count has more digits than int -> str conversion allows and exceeds
-    every cap below 2^bits, so it is named, not computed."""
+    [k, r]_q >= q^(r(k-r)) >= 2^bits.  Past 4 bits per digit of Python's
+    default int -> str limit, the count has more digits than that limit
+    and exceeds every cap below 2^bits, so it is named, not computed.
+    The default decides even where the live limit is 0 (none) or higher:
+    such a count takes seconds to minutes to compute, and the message
+    stays the one printed at the default."""
     shown = f"[{k}, {r}]_{q}"  # Gaussian binomial
     bits = r * (k - r) * (q.bit_length() - 1)
-    if not ((limit := _digit_limit()) and bits > 4 * limit and cap.bit_length() <= bits):
+    if not (bits > 4 * _DEFAULT_DIGIT_LIMIT and cap.bit_length() <= bits):
         n_subspaces = gaussian_binomial(k, r, q)
         if n_subspaces <= cap:
             return n_subspaces

@@ -4,13 +4,18 @@ The r-th weight comes out of the Macaulay representation of
 rho_q(d, m) - r with respect to q: the maximum number of common zeros
 of r independent reduced polynomials is sum_i floor(q^(m_i)), where the
 floor just sends the m_i = -1 terms to zero, and the weight is q^m
-minus that.
+minus that.  `e_bar`, `ghw` and `mu_tuple` run that greedy for one
+rank.  `hierarchy` runs none: the representations of k-1, ..., 0 map
+to the digit tuples with digit sum <= d in descending lex order
+(Heijnen & Pellikaan, IEEE Trans. IT 44(1), 1998), so it lists the
+whole hierarchy in one walk over those tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .dims import CodeParams
 from .macaulay import INFINITY, MacaulayRep, decompose
@@ -66,7 +71,7 @@ class WeightHierarchy:
         k = self.params.dimension
         if len(self.weights) != k:
             raise ValueError(f"expected {k} weights, got {len(self.weights)}")
-        if any(a >= b for a, b in zip(self.weights, self.weights[1:])):
+        if any(a >= b for a, b in pairwise(self.weights)):
             raise ValueError("weights must be strictly increasing")
         if self.weights[-1] != self.params.length:
             raise ValueError("last weight must equal the block length q^m")
@@ -84,10 +89,36 @@ class WeightHierarchy:
         return self.weights[r - 1]
 
 
+def _weights(q: int, d: int, m: int) -> list[int]:
+    """d_r = q^m - e_bar(r) for r = 1, ..., rho_q(d, m), in that order.
+
+    Through `coeffs_to_mu`, rank r is the r-th digit tuple with digit
+    sum <= d in descending lex order, and e_bar(r) is its base-q value;
+    so the e_bar column is every value below q^m with digit sum <= d,
+    descending.  It is built from the least significant digit up, each
+    digit's value subtracted from q^m: after j digits, `tails[s]` holds
+    in that order q^m minus the values of the last j digits with digit
+    sum <= s, kept only for the sums s that the m - j digits above can
+    still leave, and shared for s past j(q-1), where the bound no
+    longer bites.
+    """
+    tails = dict.fromkeys(range(d + 1), [q**m])
+    for j in range(m):
+        place, full = q**j, (j + 1) * (q - 1)
+        low = max(0, d - (m - j - 1) * (q - 1))
+        below, tails = tails, {}
+        for s in range(low, min(d, full) + 1):
+            tails[s] = [v - c * place for c in range(min(s, q - 1), 0, -1) for v in below[s - c]]
+            tails[s] += below[s]  # digit 0 subtracts nothing, so its entries are shared
+        for s in range(full + 1, d + 1):
+            tails[s] = tails[full]
+    return tails[d]
+
+
 def hierarchy(params: CodeParams) -> WeightHierarchy:
-    """Compute d_r for every r = 1, ..., rho_q(d, m)."""
-    k = params.dimension
-    return WeightHierarchy(params, tuple(ghw(params, r) for r in range(1, k + 1)))
+    """Compute d_r for every r = 1, ..., rho_q(d, m) in one walk over
+    the digit tuples (`_weights`), with no Macaulay greedy per rank."""
+    return WeightHierarchy(params, tuple(_weights(params.q, params.d, params.m)))
 
 
 def mu_tuple(params: CodeParams, r: int) -> tuple[int, ...]:

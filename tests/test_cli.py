@@ -314,14 +314,16 @@ def test_verify_exhaustive_scans_only_the_ranks_under_the_cap():
 
 
 def test_verify_exhaustive_names_a_mid_rank_count_without_computing_it():
-    # [5036, 2518]_2 >= 2^(2518^2) has far more digits than int -> str allows
+    # [5036, 2518]_2 >= 2^(2518^2) has far more digits than int -> str
+    # allows by default; with no limit (0) it is still named, not computed
     argv = ("--q", "2", "--d", "4", "--m", "19", "--oracle", "exhaustive", "--r", "2518")
-    proc = _run_python("-m", "rmweights.cli", "verify", *argv, timeout=10)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (
-        f"error: [5036, 2518]_2 subspaces exceeds the cap {10**7};"
-        " use the lexicographic oracle for these parameters\n"
-    )
+    for env in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}):
+        proc = _run_python("-m", "rmweights.cli", "verify", *argv, timeout=10, **env)
+        assert (proc.returncode, proc.stdout) == (2, ""), env
+        assert proc.stderr == (
+            f"error: [5036, 2518]_2 subspaces exceeds the cap {10**7};"
+            " use the lexicographic oracle for these parameters\n"
+        ), env
 
 
 def test_verify_dims_rejects_an_oversized_code_before_the_closed_forms():
@@ -357,10 +359,11 @@ SRC = Path(rmweights.__file__).parent.parent
 DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
 
 
-def _run_python(*args, timeout=60):
-    """Run a fresh interpreter on `args` that imports this checkout's rmweights."""
+def _run_python(*args, timeout=60, **env):
+    """Run a fresh interpreter on `args` that imports this checkout's
+    rmweights, with the environment variables `env` set on top."""
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), **env}
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )

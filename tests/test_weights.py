@@ -1,3 +1,6 @@
+import random
+import sys
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -161,7 +164,7 @@ def test_wei_duality():
     pairs = 0
     for q in (2, 3, 4, 5, 7, 8, 9):
         m = 1
-        while q**m <= 1024:
+        while q**m <= 65536:
             n, top = q**m, m * (q - 1)
             for d in range(1, (top + 1) // 2):  # d <= top - d - 1
                 weights = hierarchy(CodeParams(q, d, m))
@@ -169,7 +172,7 @@ def test_wei_duality():
                 assert sorted([*weights, *(n + 1 - w for w in dual)]) == list(range(1, n + 1))
                 pairs += 1
             m += 1
-    assert pairs == 125  # every code with 1 <= d <= m(q-1)-2, on one side
+    assert pairs == 329  # every code with 1 <= d <= m(q-1)-2, on one side
 
 
 def _table_reps(p: CodeParams, ranks):
@@ -218,6 +221,39 @@ def test_hierarchy_matches_the_table_greedy():
                 codes += 1
             m += 1
     assert codes == 183
+
+
+def test_big_hierarchy_matches_ghw_and_the_table_greedy():
+    # k = 616,666, far past the brute-force oracles
+    p = CodeParams(2, 10, 20)
+    h = hierarchy(p)
+    ranks = [1, p.dimension, *random.Random(20).sample(range(2, p.dimension), 200)]
+    for r, rep in zip(ranks, _table_reps(p, ranks)):
+        assert h[r] == ghw(p, r) == p.length - sum(2**c for c in rep.coeffs if c >= 0), r
+
+
+def test_hierarchy_runs_no_macaulay_greedy(monkeypatch):
+    p = CodeParams(2, 2, 4)
+    expected = [ghw(p, r) for r in range(1, p.dimension + 1)]
+
+    def greedy(*args):
+        raise AssertionError("hierarchy called decompose")
+
+    monkeypatch.setattr("rmweights.weights.decompose", greedy)
+    assert list(hierarchy(p)) == expected
+
+
+def test_hierarchy_peak_memory_stays_near_its_result():
+    p = CodeParams(2, 8, 16)  # k = 39,203
+    p.dimension  # the rho cache fills outside the traced region
+    tracemalloc.start()
+    try:
+        h = hierarchy(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(h.weights) + sum(map(sys.getsizeof, h.weights))
+    assert peak <= 2.5 * size
 
 
 def test_rho_cache_stays_bounded():
