@@ -19,6 +19,7 @@ from .weights import (
     WeightHierarchy,
     coeffs_to_mu,
     e_bar,
+    e_bars,
     first_weight,
     ghw,
     hierarchy,
@@ -38,6 +39,7 @@ __all__ = [
     "decompose",
     "dims",
     "e_bar",
+    "e_bars",
     "first_weight",
     "ghw",
     "hierarchy",

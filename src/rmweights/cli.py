@@ -163,12 +163,15 @@ def _verify_lex(params: CodeParams, args, out) -> bool:
     column = oracle.e_bar_lex_column(params, tuple_cap)
     if len(column) != k:
         raise ValueError(f"the lex oracle lists {len(column)} tuples, not rho = {k}")
-    rows = [(r, weights.e_bar(params, r), want) for r, want in enumerate(column, start=1)]
-    mismatches = [row for row in rows if row[1] != row[2]]
+    # the greedy rank by rank, and the digit walk of `hierarchy`
+    walk = (params.length - w for w in weights.hierarchy(params))
+    rows = list(zip(range(1, k + 1), weights.e_bars(params), walk, column))
+    mismatches = [row for row in rows if not row[1] == row[2] == row[3]]
 
     def lines():
-        for r, a, b in mismatches:
-            yield f"MISMATCH r={r}: e_bar={a} oracle={b}"
+        for r, a, w, b in mismatches:
+            shown = "" if w == a else f" walk={w}"
+            yield f"MISMATCH r={r}: e_bar={a}{shown} oracle={b}"
         if mismatches:
             yield f"FAIL ({len(mismatches)} mismatches / {k} ranks)"
         else:
@@ -181,10 +184,11 @@ def _verify_lex(params: CodeParams, args, out) -> bool:
             "status": "pass" if not mismatches else "fail",
             "checked": k,
             "mismatches": [
-                {"r": r, "e_bar": str(a), "oracle": str(b)} for r, a, b in mismatches
+                {"r": r, "e_bar": str(a), **({} if w == a else {"walk": str(w)}), "oracle": str(b)}
+                for r, a, w, b in mismatches
             ],
         },
-        header="r,e_bar,oracle,match", rows=((r, a, b, a == b) for r, a, b in rows),
+        header="r,e_bar,oracle,match", rows=((r, a, b, a == w == b) for r, a, w, b in rows),
         lines=lines(),
     )
     return not mismatches

@@ -54,19 +54,14 @@ def _check_args(q: int, d: int, m: int) -> None:
         raise ValueError("m must be >= -1")
 
 
-@lru_cache(maxsize=1024, typed=True)
 def rho(q: int, d: int, m: int) -> int:
     """Dimension of RM(d, m) over F_q by the inclusion-exclusion formula.
 
     Conventions: 0 for d < 0 or m = -1, and 1 for d >= 0, m = 0.  For
     d >= m(q-1) the code fills the whole space, so the value is q^m.
-    Memoized in a bounded cache; a miss costs min(m, d/q) + 1 terms.
-    The cache serves loops of per-rank `e_bar` or `ghw` calls on one
-    code, whose greedy scans probe the same few hundred arguments;
-    `hierarchy` runs no greedy and calls it only for the dimension.
-    The argument checks run on a cache miss only, which is enough
-    because a call that raises is never cached, and typed keys keep a
-    float argument from hitting an int entry.
+    A call costs min(m, d/q) + 1 terms and checks its arguments first,
+    before any early return.  Nothing is memoized here; a loop over the
+    ranks of one code memoizes for itself (`weights.e_bars`).
     """
     _check_args(q, d, m)
     if d < 0 or m == -1:

@@ -5,11 +5,17 @@ coefficients -1 <= m_1 <= ... <= m_d such that entries q-1 positions
 apart strictly increase unless both are -1.  Passing ``INFINITY`` for q
 switches the summands to plain binomials C(m_i + i, i), which recovers
 the classical d-binomial representation.
+
+`decompose` evaluates every summand it probes.  The greedy itself,
+`_decompose`, takes the summand as a function term(i, m), so a caller
+that decomposes many integers with one q can memoize the summands for
+as long as it needs them (`weights.e_bars`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from .dims import binomial, is_prime_power, rho
@@ -95,31 +101,42 @@ class MacaulayRep:
         )
 
 
-def _greedy_coefficient(qparam, i: int, remainder: int, hi: int | None) -> tuple[int, int]:
-    """Largest m >= -1 with dim_term(q, i, m) <= remainder, and that term.
+def _greedy_coefficient(term, i: int, remainder: int, hi: int | None) -> tuple[int, int]:
+    """Largest m >= -1 with term(i, m) <= remainder, and term(i, m).
 
-    dim_term is strictly increasing in m for i >= 1.  With no bound the
-    bracket is found by doubling from 0; a bound hi, the coefficient of
-    the degree above (m_i <= m_{i+1}), is probed first and [-1, hi] is
-    then bisected.
+    term(i, m) is a degree-i summand, strictly increasing in m for
+    i >= 1.  With no bound the bracket is found by doubling from 0; a
+    bound hi, the coefficient of the degree above (m_i <= m_{i+1}), is
+    probed first and [-1, hi] is then bisected.
     """
     if remainder == 0:
-        return -1, 0  # dim_term(q, i, -1) = 0 and dim_term(q, i, 0) = 1
-    lo, lo_term = -1, 0
+        return -1, 0  # every summand is 0 at m = -1 and 1 at m = 0
+    lo, lo_value = -1, 0
     if hi is None:
         hi = 0
-        while (term := dim_term(qparam, i, hi)) <= remainder:
-            lo, lo_term = hi, term
+        while (value := term(i, hi)) <= remainder:
+            lo, lo_value = hi, value
             hi = 2 * hi + 1
-    elif (term := dim_term(qparam, i, hi)) <= remainder:
-        return hi, term
+    elif (value := term(i, hi)) <= remainder:
+        return hi, value
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if (term := dim_term(qparam, i, mid)) <= remainder:
-            lo, lo_term = mid, term
+        if (value := term(i, mid)) <= remainder:
+            lo, lo_value = mid, value
         else:
             hi = mid
-    return lo, lo_term
+    return lo, lo_value
+
+
+def _decompose(n: int, d: int, qparam, term) -> MacaulayRep:
+    """The greedy of `decompose`, with summand values from term(i, m)."""
+    coeffs = []
+    remainder, c = n, None
+    for i in range(d, 0, -1):
+        c, value = _greedy_coefficient(term, i, remainder, c)
+        remainder -= value
+        coeffs.append(c)
+    return MacaulayRep(qparam, d, tuple(coeffs))
 
 
 def decompose(n: int, d: int, qparam) -> MacaulayRep:
@@ -128,20 +145,14 @@ def decompose(n: int, d: int, qparam) -> MacaulayRep:
     Greedy from degree d down to 1: each coefficient is the unique
     m_i >= -1 with dim_term(i, m_i) <= remainder < dim_term(i, m_i + 1).
     Only m_d is searched without a bound; every lower one lies in
-    [-1, m_{i+1}].
+    [-1, m_{i+1}].  Each probe evaluates its summand afresh.
     """
     _check_qparam(qparam)
     if not isinstance(n, int):
         raise TypeError("n must be an integer")
     if n < 0:
         raise ValueError("n must be >= 0")
-    coeffs = []
-    remainder, c = n, None
-    for i in range(d, 0, -1):
-        c, term = _greedy_coefficient(qparam, i, remainder, c)
-        remainder -= term
-        coeffs.append(c)
-    return MacaulayRep(qparam, d, tuple(coeffs))
+    return _decompose(n, d, qparam, partial(dim_term, qparam))
 
 
 def recompose(coeffs, d: int | None = None, qparam=None) -> int:

@@ -5,20 +5,23 @@ rho_q(d, m) - r with respect to q: the maximum number of common zeros
 of r independent reduced polynomials is sum_i floor(q^(m_i)), where the
 floor just sends the m_i = -1 terms to zero, and the weight is q^m
 minus that.  `e_bar`, `ghw` and `mu_tuple` run that greedy for one
-rank.  `hierarchy` runs none: the representations of k-1, ..., 0 map
-to the digit tuples with digit sum <= d in descending lex order
-(Heijnen & Pellikaan, IEEE Trans. IT 44(1), 1998), so it lists the
-whole hierarchy in one walk over those tuples.
+rank; `e_bars` runs it for every rank of one code, with the rho values
+memoized for that call only.  `hierarchy` runs none: the
+representations of k-1, ..., 0 map to the digit tuples with digit sum
+<= d in descending lex order (Heijnen & Pellikaan, IEEE Trans. IT
+44(1), 1998), so it lists the whole hierarchy in one walk over those
+tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import pairwise
 
-from .dims import CodeParams
-from .macaulay import INFINITY, MacaulayRep, decompose
+from .dims import CodeParams, rho
+from .macaulay import INFINITY, MacaulayRep, _decompose, decompose
 
 
 def coeffs_to_mu(rep: MacaulayRep, m: int) -> tuple[int, ...]:
@@ -53,6 +56,23 @@ def e_bar(params: CodeParams, r: int) -> int:
     rho_q(d, m) - r."""
     rep = _rank_rep(params, r)
     return sum(params.q**c for c in rep.coeffs if c >= 0)
+
+
+def e_bars(params: CodeParams):
+    """Yield e_bar(params, r) for r = 1, ..., rho_q(d, m), in that order.
+
+    The same greedy as `e_bar`, rank by rank, but its summands come from
+    a memo of rho created by this call: the ranks of one code probe the
+    same few (i, m_i) pairs over and over.  A probe has degree i <= d
+    and coefficient -1 <= m_i <= 2m + 1, so the memo stays below
+    d(2m + 3) entries, and it is dropped with the generator.
+    """
+    q, d = params.q, params.d
+    term = cache(lambda i, m: rho(q, i, m))
+    k = params.dimension
+    for r in range(1, k + 1):
+        rep = _decompose(k - r, d, q, term)
+        yield sum(q**c for c in rep.coeffs if c >= 0)
 
 
 def ghw(params: CodeParams, r: int) -> int:

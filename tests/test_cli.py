@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import rmweights
-from rmweights import oracle
+from rmweights import oracle, weights
 from rmweights.cli import main
 from rmweights.dims import is_prime_power
 
@@ -353,6 +353,13 @@ def test_verify_lex_rejects_a_short_listing(capsys, monkeypatch):
     )
     assert (code, out) == (2, "")
     assert err == "error: the lex oracle lists 2 tuples, not rho = 3\n"
+
+
+def test_verify_lex_names_the_walk_where_the_greedy_alone_is_wrong(capsys, monkeypatch):
+    greedy = weights.e_bars
+    monkeypatch.setattr(weights, "e_bars", lambda p: (e + (r == 1) for r, e in enumerate(greedy(p), 1)))
+    code, out, _ = run(capsys, "verify", "--q", "2", "--d", "1", "--m", "2", "--oracle", "lex")
+    assert (code, out) == (1, "MISMATCH r=1: e_bar=3 walk=2 oracle=2\nFAIL (1 mismatches / 3 ranks)\n")
 
 
 SRC = Path(rmweights.__file__).parent.parent

@@ -7,7 +7,7 @@ shows up here.
 
 import pytest
 
-from rmweights import oracle
+from rmweights import oracle, weights
 from rmweights.cli import main
 
 GOLDEN = [
@@ -433,6 +433,45 @@ binomial,6
     ),
 ]
 
+# run with the digit walk made to disagree, see `walk_off_at_rank_2`
+GOLDEN_WALK_FAIL = [
+    pytest.param(
+        "verify --q 2 --d 1 --m 3 --oracle lex --format plain", 1, """\
+MISMATCH r=2: e_bar=2 walk=3 oracle=2
+FAIL (1 mismatches / 4 ranks)
+""", "",
+        id="lex-walk-plain",
+    ),
+    pytest.param(
+        "verify --q 2 --d 1 --m 3 --oracle lex --format json", 1, """\
+{
+  "oracle": "lex",
+  "status": "fail",
+  "checked": 4,
+  "mismatches": [
+    {
+      "r": 2,
+      "e_bar": "2",
+      "walk": "3",
+      "oracle": "2"
+    }
+  ]
+}
+""", "",
+        id="lex-walk-json",
+    ),
+    pytest.param(
+        "verify --q 2 --d 1 --m 3 --oracle lex --format csv", 1, """\
+r,e_bar,oracle,match
+1,4,4,true
+2,2,2,false
+3,1,1,true
+4,0,0,true
+""", "",
+        id="lex-walk-csv",
+    ),
+]
+
 
 @pytest.fixture
 def oracle_off_by_one(monkeypatch):
@@ -453,6 +492,14 @@ def oracle_off_by_one(monkeypatch):
     monkeypatch.setattr(oracle, "count_reduced_monomials", lambda *args: count(*args) + 1)
 
 
+@pytest.fixture
+def walk_off_at_rank_2(monkeypatch):
+    """Make the digit walk give (4, 5, 7, 8) for (2, 1, 3), whose weights
+    are (4, 6, 7, 8): still strictly increasing and ending at q^m, so
+    only the comparison can catch it."""
+    monkeypatch.setattr(weights, "_weights", lambda q, d, m: [4, 5, 7, 8])
+
+
 def _check(capsys, argv, code, out, err):
     assert main(argv.split()) == code
     captured = capsys.readouterr()
@@ -466,4 +513,9 @@ def test_golden_output(capsys, argv, code, out, err):
 
 @pytest.mark.parametrize("argv, code, out, err", GOLDEN_FAIL)
 def test_golden_fail_output(capsys, oracle_off_by_one, argv, code, out, err):
+    _check(capsys, argv, code, out, err)
+
+
+@pytest.mark.parametrize("argv, code, out, err", GOLDEN_WALK_FAIL)
+def test_golden_walk_fail_output(capsys, walk_off_at_rank_2, argv, code, out, err):
     _check(capsys, argv, code, out, err)

@@ -71,27 +71,26 @@ def test_rho_rejects_bad_arguments():
         rho(2, 1, -2)
 
 
-def test_rho_checks_hold_whatever_the_cache_holds():
-    # the checks run on a cache miss only; typed keys keep a float
-    # argument from hitting the cached int entry for (2, 3, 5)
-    rho.cache_clear()
-    for warm in (False, True):
-        if warm:
-            assert rho(2, 3, 5) == 26
-            # int twins of the float calls below, which take an early
-            # return, where no arithmetic would reject a float
-            assert (rho(2, 100, 3), rho(3, 2, 1), rho(2, 3, 0)) == (8, 3, 1)
-        with pytest.raises(ValueError, match="prime power"):
-            rho(2.0, 3, 5)
-        for args in ((2, 3.0, 5), (2, 3, 5.0), (2, 100.0, 3), (3, 2.5, 1), (2, 3, 0.0)):
-            with pytest.raises(TypeError):
-                rho(*args)
-    # a call that raises is never cached, so it raises again
+def test_rho_checks_its_arguments_on_every_call():
+    assert not hasattr(rho, "cache_info")
+    # (bad arguments, their error message, an int twin and its value); the
+    # last three floats take an early return, where no arithmetic would
+    # reject them
+    cases = [
+        ((2.0, 3, 5), "prime power", (2, 3, 5), 26),
+        ((6, 1, 1), "prime power", (7, 1, 1), 2),
+        ((2, 1, -2), "m must be", (2, 1, -1), 0),
+        ((2, 3.0, 5), "integers", (2, 3, 5), 26),
+        ((2, 3, 5.0), "integers", (2, 3, 5), 26),
+        ((2, 100.0, 3), "integers", (2, 100, 3), 8),
+        ((3, 2.5, 1), "integers", (3, 2, 1), 3),
+        ((2, 3, 0.0), "integers", (2, 3, 0), 1),
+    ]
     for _ in range(2):
-        with pytest.raises(ValueError, match="prime power"):
-            rho(6, 1, 1)
-        with pytest.raises(ValueError):
-            rho(2, 1, -2)
+        for bad, message, twin, value in cases:
+            assert rho(*twin) == value
+            with pytest.raises((TypeError, ValueError), match=message):
+                rho(*bad)
 
 
 def test_rho_binomial_examples():

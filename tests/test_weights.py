@@ -13,6 +13,7 @@ from rmweights.weights import (
     _rank_rep,
     coeffs_to_mu,
     e_bar,
+    e_bars,
     first_weight,
     ghw,
     hierarchy,
@@ -245,7 +246,6 @@ def test_hierarchy_runs_no_macaulay_greedy(monkeypatch):
 
 def test_hierarchy_peak_memory_stays_near_its_result():
     p = CodeParams(2, 8, 16)  # k = 39,203
-    p.dimension  # the rho cache fills outside the traced region
     tracemalloc.start()
     try:
         h = hierarchy(p)
@@ -256,12 +256,23 @@ def test_hierarchy_peak_memory_stays_near_its_result():
     assert peak <= 2.5 * size
 
 
-def test_rho_cache_stays_bounded():
-    rho.cache_clear()
-    for q in (2, 3):
-        for m in range(20, 120):  # 200 codes, each new to the cache
-            p = CodeParams(q, 20, m)
-            ghw(p, p.dimension // 2)
-    info = rho.cache_info()
-    assert info.maxsize is not None and info.misses > info.maxsize
-    assert info.currsize <= info.maxsize
+def test_e_bars_holds_no_state_across_calls(monkeypatch):
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        m = 1
+        while q**m <= 1024:
+            for d in range(1, m * (q - 1) + 1):
+                p = CodeParams(q, d, m)
+                assert list(e_bars(p)) == [e_bar(p, r) for r in range(1, p.dimension + 1)], p
+            m += 1
+
+    calls = []
+    monkeypatch.setattr("rmweights.weights.rho", lambda *args: calls.append(args) or rho(*args))
+    p = CodeParams(3, 4, 5)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        list(e_bars(p))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert len(set(calls)) == len(calls)  # each argument once per call
+    assert not hasattr(rho, "cache_info")
