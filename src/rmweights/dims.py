@@ -54,6 +54,21 @@ def _check_args(q: int, d: int, m: int) -> None:
         raise ValueError("m must be >= -1")
 
 
+def _rho_early(q: int, d: int, m: int) -> int | None:
+    """Check the arguments, then return rho where no formula is needed:
+    0 for d < 0 or m = -1, 1 for d >= 0 and m = 0, and q^m for
+    d > m(q-1), where every further degree term counts zero tuples.
+    None means the hockey-stick sum decides."""
+    _check_args(q, d, m)
+    if d < 0 or m == -1:
+        return 0
+    if m == 0:
+        return 1
+    if d > m * (q - 1):
+        return q**m
+    return None
+
+
 def rho(q: int, d: int, m: int) -> int:
     """Dimension of RM(d, m) over F_q by the inclusion-exclusion formula.
 
@@ -61,21 +76,48 @@ def rho(q: int, d: int, m: int) -> int:
     d >= m(q-1) the code fills the whole space, so the value is q^m.
     A call costs min(m, d/q) + 1 terms and checks its arguments first,
     before any early return.  Nothing is memoized here; a loop over the
-    ranks of one code memoizes for itself (`weights.e_bars`).
+    ranks of one code memoizes for itself (`weights.e_bars`).  The
+    Macaulay greedy asks `_rho_at_most` at its probes and calls this
+    once per coefficient.
     """
-    _check_args(q, d, m)
-    if d < 0 or m == -1:
-        return 0
-    if m == 0:
-        return 1
-    if d > m * (q - 1):
-        return q**m  # every further degree term counts zero tuples
+    value = _rho_early(q, d, m)
+    if value is not None:
+        return value
     # j variables forced to exponent >= q, the degree left spread over
     # m variables and a slack (hockey-stick sum over degrees <= d)
-    return sum(
-        (-1) ** j * math.comb(m, j) * math.comb(m + d - q * j, m)
-        for j in range(min(m, d // q) + 1)
-    )
+    comb = math.comb
+    total, sign = 0, 1
+    for j in range(min(m, d // q) + 1):
+        total += sign * comb(m, j) * comb(m + d - q * j, m)
+        sign = -sign
+    return total
+
+
+def _rho_at_most(q: int, d: int, m: int, bound: int) -> bool:
+    """rho(q, d, m) <= bound, mostly from the first terms of its sum.
+
+    The same checks, early returns and terms as `rho`.  Truncated after
+    term j, an inclusion-exclusion sum is >= its value for even j and
+    <= it for odd j (the Bonferroni inequalities), so an even partial
+    sum <= bound answers True and an odd one > bound answers False;
+    far from the bound that takes one or two terms.
+    """
+    value = _rho_early(q, d, m)
+    if value is not None:
+        return value <= bound
+    comb = math.comb
+    total = 0
+    for j in range(min(m, d // q) + 1):
+        term = comb(m, j) * comb(m + d - q * j, m)
+        if j & 1:
+            total -= term
+            if total > bound:
+                return False
+        else:
+            total += term
+            if total <= bound:
+                return True
+    return total <= bound  # the whole sum, which is rho
 
 
 def rho_binomial(q: int, d: int, m: int) -> int:

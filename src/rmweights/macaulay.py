@@ -6,19 +6,23 @@ apart strictly increase unless both are -1.  Passing ``INFINITY`` for q
 switches the summands to plain binomials C(m_i + i, i), which recovers
 the classical d-binomial representation.
 
-`decompose` evaluates every summand it probes.  The greedy itself,
-`_decompose`, takes the summand as a function term(i, m), so a caller
-that decomposes many integers with one q can memoize the summands for
-as long as it needs them (`weights.e_bars`).
+The greedy, `_decompose`, takes the summand as a function term(i, m)
+and a comparison at_most(i, m, bound).  It decides its probes through
+the comparison and evaluates one summand per coefficient.  For finite
+q, `decompose` compares on the partial sums of rho's
+inclusion-exclusion formula (`dims._rho_at_most`); a caller that
+decomposes many integers with one q can instead memoize the summands
+and compare the memoized values (`weights.e_bars`).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .dims import binomial, is_prime_power, rho
+from .dims import _rho_at_most, binomial, is_prime_power, rho
 
 INFINITY = float("inf")
 
@@ -48,18 +52,17 @@ def validate(coeffs: Sequence[int], d: int, qparam) -> bool:
     _check_qparam(qparam)
     if len(coeffs) != d:
         raise ValueError(f"expected {d} coefficients, got {len(coeffs)}")
-    if any(c < -1 for c in coeffs):
+    if min(coeffs, default=-1) < -1:
         return False
     # coeffs runs m_d down to m_1, so it must be nonincreasing as stored
-    if any(coeffs[j] < coeffs[j + 1] for j in range(d - 1)):
+    if not all(map(operator.ge, coeffs, coeffs[1:])):
         return False
     if qparam != INFINITY:
-        step = qparam - 1
-        for i in range(1, d - step + 1):  # positions m_i and m_{i+q-1}
-            low = coeffs[d - i]
-            high = coeffs[d - i - step]
-            if not (high > low or high == low == -1):
-                return False
+        # entries q-1 apart must strictly decrease as stored unless both
+        # are -1; the -1s are the tail, so only the entries before it count
+        head = coeffs[: d - coeffs.count(-1)]
+        if not all(map(operator.gt, head, head[qparam - 1 :])):
+            return False
     return True
 
 
@@ -101,42 +104,53 @@ class MacaulayRep:
         )
 
 
-def _greedy_coefficient(term, i: int, remainder: int, hi: int | None) -> tuple[int, int]:
+def _greedy_coefficient(term, at_most, i: int, remainder: int, hi: int | None) -> tuple[int, int]:
     """Largest m >= -1 with term(i, m) <= remainder, and term(i, m).
 
     term(i, m) is a degree-i summand, strictly increasing in m for
-    i >= 1.  With no bound the bracket is found by doubling from 0; a
-    bound hi, the coefficient of the degree above (m_i <= m_{i+1}), is
-    probed first and [-1, hi] is then bisected.
+    i >= 1, and at_most(i, m, bound) tells whether term(i, m) <= bound.
+    The probes only compare; term runs once, at the answer.  With no
+    bound the bracket is found by doubling from 0; a bound hi (the
+    coefficient of the degree above, m_i <= m_{i+1}, or a bound the
+    caller knows for m_d) is probed first and [-1, hi] is then bisected.
     """
     if remainder == 0:
         return -1, 0  # every summand is 0 at m = -1 and 1 at m = 0
-    lo, lo_value = -1, 0
+    lo = -1
     if hi is None:
         hi = 0
-        while (value := term(i, hi)) <= remainder:
-            lo, lo_value = hi, value
-            hi = 2 * hi + 1
-    elif (value := term(i, hi)) <= remainder:
-        return hi, value
+        while at_most(i, hi, remainder):
+            lo, hi = hi, 2 * hi + 1
+    elif at_most(i, hi, remainder):
+        return hi, term(i, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if (value := term(i, mid)) <= remainder:
-            lo, lo_value = mid, value
+        if at_most(i, mid, remainder):
+            lo = mid
         else:
             hi = mid
-    return lo, lo_value
+    return lo, term(i, lo)
 
 
-def _decompose(n: int, d: int, qparam, term) -> MacaulayRep:
-    """The greedy of `decompose`, with summand values from term(i, m)."""
+def _decompose(n: int, d: int, qparam, term, at_most, top: int | None = None) -> MacaulayRep:
+    """The greedy of `decompose`, with summands from term(i, m) and
+    probes through at_most(i, m, bound); `top`, if given, must bound
+    m_d from above."""
     coeffs = []
-    remainder, c = n, None
+    remainder, c = n, top
     for i in range(d, 0, -1):
-        c, value = _greedy_coefficient(term, i, remainder, c)
+        c, value = _greedy_coefficient(term, at_most, i, remainder, c)
         remainder -= value
         coeffs.append(c)
     return MacaulayRep(qparam, d, tuple(coeffs))
+
+
+def _probes(qparam):
+    """The summand term(i, m) of qparam and its comparison at_most(i, m, bound)."""
+    term = partial(dim_term, qparam)
+    if qparam == INFINITY:
+        return term, lambda i, m, bound: term(i, m) <= bound
+    return term, partial(_rho_at_most, qparam)
 
 
 def decompose(n: int, d: int, qparam) -> MacaulayRep:
@@ -145,14 +159,16 @@ def decompose(n: int, d: int, qparam) -> MacaulayRep:
     Greedy from degree d down to 1: each coefficient is the unique
     m_i >= -1 with dim_term(i, m_i) <= remainder < dim_term(i, m_i + 1).
     Only m_d is searched without a bound; every lower one lies in
-    [-1, m_{i+1}].  Each probe evaluates its summand afresh.
+    [-1, m_{i+1}].  A probe for finite q stops on the first partial
+    sum of rho that decides it (`dims._rho_at_most`), and each
+    coefficient evaluates one summand exactly.
     """
     _check_qparam(qparam)
     if not isinstance(n, int):
         raise TypeError("n must be an integer")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _decompose(n, d, qparam, partial(dim_term, qparam))
+    return _decompose(n, d, qparam, *_probes(qparam))
 
 
 def recompose(coeffs, d: int | None = None, qparam=None) -> int:

@@ -21,7 +21,7 @@ from functools import cache
 from itertools import pairwise
 
 from .dims import CodeParams, rho
-from .macaulay import INFINITY, MacaulayRep, _decompose, decompose
+from .macaulay import INFINITY, MacaulayRep, _decompose, _probes
 
 
 def coeffs_to_mu(rep: MacaulayRep, m: int) -> tuple[int, ...]:
@@ -47,7 +47,8 @@ def _rank_rep(params: CodeParams, r: int) -> MacaulayRep:
     k = params.dimension
     if not 1 <= r <= k:
         raise ValueError(f"r must be in [1, {k}]")
-    return decompose(k - r, params.d, params.q)
+    # n = k - r < k = rho_q(d, m), and rho_q(d, .) increases, so m_d <= m - 1
+    return _decompose(k - r, params.d, params.q, *_probes(params.q), params.m - 1)
 
 
 def e_bar(params: CodeParams, r: int) -> int:
@@ -61,18 +62,24 @@ def e_bar(params: CodeParams, r: int) -> int:
 def e_bars(params: CodeParams):
     """Yield e_bar(params, r) for r = 1, ..., rho_q(d, m), in that order.
 
-    The same greedy as `e_bar`, rank by rank, but its summands come from
-    a memo of rho created by this call: the ranks of one code probe the
-    same few (i, m_i) pairs over and over.  A probe has degree i <= d
-    and coefficient -1 <= m_i <= 2m + 1, so the memo stays below
-    d(2m + 3) entries, and it is dropped with the generator.
+    The same greedy as `e_bar`, rank by rank and with m_d <= m - 1, but
+    its probes compare values from a memo of rho created by this call:
+    the ranks of one code probe the same few (i, m_i) pairs over and
+    over, so exact values beat the partial sums of `decompose`.  A probe
+    has degree i <= d and coefficient -1 <= m_i <= m - 1, so the memo
+    stays below d(m + 1) entries, and it is dropped with the generator.
     """
-    q, d = params.q, params.d
-    term = cache(lambda i, m: rho(q, i, m))
+    q, d, m = params.q, params.d, params.m
+    term = cache(lambda i, c: rho(q, i, c))
+
+    def at_most(i, c, bound):
+        return term(i, c) <= bound
+
+    powers = [q**c for c in range(m)] + [0]  # q^c for every m_i, and 0 at m_i = -1
     k = params.dimension
     for r in range(1, k + 1):
-        rep = _decompose(k - r, d, q, term)
-        yield sum(q**c for c in rep.coeffs if c >= 0)
+        rep = _decompose(k - r, d, q, term, at_most, m - 1)
+        yield sum(map(powers.__getitem__, rep.coeffs))
 
 
 def ghw(params: CodeParams, r: int) -> int:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rmweights.dims import (
     CodeParams,
+    _rho_at_most,
     binomial,
     is_prime_power,
     rho,
@@ -89,8 +90,40 @@ def test_rho_checks_its_arguments_on_every_call():
     for _ in range(2):
         for bad, message, twin, value in cases:
             assert rho(*twin) == value
+            assert _rho_at_most(*twin, value) and not _rho_at_most(*twin, value - 1)
             with pytest.raises((TypeError, ValueError), match=message):
                 rho(*bad)
+            with pytest.raises((TypeError, ValueError), match=message):
+                _rho_at_most(*bad, value)
+
+
+SWEEP_QS = (2, 3, 4, 5, 7, 8, 9, 16)
+
+
+def _sweep_args():
+    for q in SWEEP_QS:
+        for m in range(-1, 13):
+            for d in range(-2, max(m, 0) * (q - 1) + 3):
+                yield q, d, m
+
+
+def test_rho_at_most_is_the_comparison_with_rho():
+    for q, d, m in _sweep_args():
+        value = rho(q, d, m)
+        for bound in (value - 1, value, value + 1, 0, -1):
+            assert _rho_at_most(q, d, m, bound) == (value <= bound), (q, d, m, bound)
+
+
+def test_partial_sums_of_rho_alternate_around_it():
+    # the Bonferroni inequalities that let `_rho_at_most` stop early
+    for q, d, m in _sweep_args():
+        if d < 0 or m < 1 or d > m * (q - 1):
+            continue  # an early return, no sum
+        value, partial = rho(q, d, m), 0
+        for j in range(min(m, d // q) + 1):
+            partial += (-1) ** j * math.comb(m, j) * math.comb(m + d - q * j, m)
+            assert partial >= value if j % 2 == 0 else partial <= value, (q, d, m, j)
+        assert partial == value
 
 
 def test_rho_binomial_examples():

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmweights.dims import rho
+from rmweights.dims import CodeParams, rho
 from rmweights.macaulay import (
     INFINITY,
     MacaulayRep,
@@ -14,6 +15,7 @@ from rmweights.macaulay import (
     recompose,
     validate,
 )
+from rmweights.weights import ghw
 
 
 def test_dim_term():
@@ -124,6 +126,93 @@ def test_greedy_bound():
                 m_top = decompose(n, d, q).coeffs[0]
                 assert dim_term(q, d, m_top) <= n
                 assert dim_term(q, d, m_top + 1) > n
+
+
+def _reference_decompose(n, d, q):
+    """The greedy with every probe evaluated in full: for each degree
+    the largest m with dim_term(q, i, m) <= remainder, bracketed by
+    doubling from 0 and bisected."""
+    coeffs = []
+    for i in range(d, 0, -1):
+        lo, hi = -1, 0
+        while dim_term(q, i, hi) <= n:
+            lo, hi = hi, 2 * hi + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if dim_term(q, i, mid) <= n else (lo, mid)
+        n -= dim_term(q, i, lo)
+        coeffs.append(lo)
+    return tuple(coeffs)
+
+
+SWEEP_QS = (2, 3, 4, 5, 7, 8, 9, 16)
+
+
+def test_decompose_matches_the_full_evaluation_greedy():
+    for q in (*SWEEP_QS, INFINITY):
+        for d in range(1, 7):
+            for n in range(300):
+                assert decompose(n, d, q).coeffs == _reference_decompose(n, d, q), (q, d, n)
+    rng = random.Random(12)
+    for q in (*SWEEP_QS, INFINITY):
+        for _ in range(6):
+            d, n = rng.randint(16, 40), rng.randint(10**10, 10**70)
+            assert decompose(n, d, q).coeffs == _reference_decompose(n, d, q), (q, d, n)
+
+
+def _code_of_dimension(q, d, target):
+    """The smallest m with rho_q(d, m) >= target, for 1 <= d."""
+    lo, hi = -(-d // (q - 1)), 2 * -(-d // (q - 1))
+    while rho(q, d, hi) < target:
+        lo, hi = hi, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if rho(q, d, mid) >= target else (mid + 1, hi)
+    return CodeParams(q, d, lo)
+
+
+def _reference_ghw(p, r):
+    coeffs = _reference_decompose(p.dimension - r, p.d, p.q)
+    return p.length - sum(p.q**c for c in coeffs if c >= 0)
+
+
+def test_ghw_matches_the_full_evaluation_greedy():
+    for q in SWEEP_QS:
+        m = 1
+        while q**m <= 256:
+            for d in range(1, m * (q - 1) + 1):
+                p = CodeParams(q, d, m)
+                for r in range(1, p.dimension + 1):
+                    assert ghw(p, r) == _reference_ghw(p, r), (p, r)
+            m += 1
+    rng = random.Random(13)
+    for q in SWEEP_QS:
+        for _ in range(4):
+            p = _code_of_dimension(q, rng.randint(16, 40), 10 ** rng.randint(10, 70))
+            for r in (1, rng.randint(1, p.dimension), p.dimension):
+                assert ghw(p, r) == _reference_ghw(p, r), (p, r)
+
+
+def _reference_validate(coeffs, d, qparam):
+    """`validate` as three per-element conditions."""
+    if any(c < -1 for c in coeffs):
+        return False
+    if any(coeffs[j] < coeffs[j + 1] for j in range(d - 1)):
+        return False
+    if qparam != INFINITY:
+        for i in range(1, d - qparam + 2):  # m_i and m_{i+q-1}
+            high, low = coeffs[d - i - qparam + 1], coeffs[d - i]
+            if not (high > low or high == low == -1):
+                return False
+    return True
+
+
+def test_validate_matches_its_per_element_definition():
+    for q in (2, 3, 4, INFINITY):
+        for d in range(6):
+            for c in itertools.product(range(-2, 4), repeat=d):
+                assert validate(c, d, q) == _reference_validate(c, d, q), (q, c)
+                assert validate(list(c), d, q) == validate(c, d, q)
 
 
 def _valid_tuples(d, q, lo=-1, hi=5):

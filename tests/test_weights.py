@@ -55,6 +55,23 @@ def test_r_out_of_range():
             ghw(CodeParams(4, 3, 3), r)
 
 
+def test_ghw_evaluates_rho_once_per_coefficient(monkeypatch):
+    # the greedy's probes compare on partial sums of rho; exact values
+    # are k and one summand per coefficient
+    calls = []
+    for name in ("rmweights.dims.rho", "rmweights.macaulay.rho"):
+        monkeypatch.setattr(name, lambda *args: calls.append(args) or rho(*args))
+    codes = [CodeParams(2, 3, 5), CodeParams(5, 2, 4), CodeParams(2, 40, 600), CodeParams(9, 30, 25)]
+    for p in codes:
+        for r in (1, 2, p.dimension // 3, p.dimension - 1, p.dimension):
+            calls.clear()
+            ghw(p, r)
+            assert 1 <= len(calls) <= p.d + 1, (p, r)
+            if r == 1:
+                # rank 1's digit tuple sums to d, so no coefficient is -1
+                assert len(calls) == p.d + 1, p
+
+
 def test_hierarchy_examples():
     assert tuple(hierarchy(CodeParams(2, 1, 3))) == (4, 6, 7, 8)
     assert tuple(hierarchy(CodeParams(2, 2, 3))) == (2, 3, 4, 5, 6, 7, 8)
@@ -238,9 +255,10 @@ def test_hierarchy_runs_no_macaulay_greedy(monkeypatch):
     expected = [ghw(p, r) for r in range(1, p.dimension + 1)]
 
     def greedy(*args):
-        raise AssertionError("hierarchy called decompose")
+        raise AssertionError("hierarchy called the greedy")
 
-    monkeypatch.setattr("rmweights.weights.decompose", greedy)
+    # weights reaches the greedy through `_decompose` alone
+    monkeypatch.setattr("rmweights.weights._decompose", greedy)
     assert list(hierarchy(p)) == expected
 
 
