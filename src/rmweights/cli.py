@@ -198,15 +198,14 @@ def _verify_exhaustive(params: CodeParams, args, out) -> bool:
     k = params.dimension
     subspace_cap = args.cap if args.cap is not None else oracle.DEFAULT_SUBSPACE_CAP
     if args.r is not None:
-        ranks, gen = [args.r], None  # built after the rank's subspace count is checked
+        ranks = [args.r]
     else:
         oracle.check_matrix_caps(params)  # before a rank scan that could only end at a cap
         ranks = oracle.ranks_under_cap(k, params.q, subspace_cap)
         if not ranks:
             raise ValueError("no rank fits under the subspace cap; pass --r or raise --cap")
-        gen = oracle.rm_generator_matrix(params)  # one matrix for every rank
     rows = [
-        (s, weights.ghw(params, s), oracle.min_subspace_support(params, s, subspace_cap, gen))
+        (s, weights.ghw(params, s), oracle.min_subspace_support(params, s, subspace_cap))
         for s in ranks
     ]
     mismatches = [row for row in rows if row[1] != row[2]]

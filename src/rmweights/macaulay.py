@@ -17,7 +17,6 @@ and compare the memoized values (`weights.e_bars`).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -52,17 +51,18 @@ def validate(coeffs: Sequence[int], d: int, qparam) -> bool:
     _check_qparam(qparam)
     if len(coeffs) != d:
         raise ValueError(f"expected {d} coefficients, got {len(coeffs)}")
-    if min(coeffs, default=-1) < -1:
+    if any(c < -1 for c in coeffs):
         return False
     # coeffs runs m_d down to m_1, so it must be nonincreasing as stored
-    if not all(map(operator.ge, coeffs, coeffs[1:])):
+    if any(coeffs[j] < coeffs[j + 1] for j in range(d - 1)):
         return False
     if qparam != INFINITY:
-        # entries q-1 apart must strictly decrease as stored unless both
-        # are -1; the -1s are the tail, so only the entries before it count
-        head = coeffs[: d - coeffs.count(-1)]
-        if not all(map(operator.gt, head, head[qparam - 1 :])):
-            return False
+        step = qparam - 1
+        for i in range(1, d - step + 1):  # positions m_i and m_{i+q-1}
+            low = coeffs[d - i]
+            high = coeffs[d - i - step]
+            if not (high > low or high == low == -1):
+                return False
     return True
 
 
@@ -145,14 +145,6 @@ def _decompose(n: int, d: int, qparam, term, at_most, top: int | None = None) ->
     return MacaulayRep(qparam, d, tuple(coeffs))
 
 
-def _probes(qparam):
-    """The summand term(i, m) of qparam and its comparison at_most(i, m, bound)."""
-    term = partial(dim_term, qparam)
-    if qparam == INFINITY:
-        return term, lambda i, m, bound: term(i, m) <= bound
-    return term, partial(_rho_at_most, qparam)
-
-
 def decompose(n: int, d: int, qparam) -> MacaulayRep:
     """Compute the d-th Macaulay representation of n with respect to qparam.
 
@@ -168,7 +160,12 @@ def decompose(n: int, d: int, qparam) -> MacaulayRep:
         raise TypeError("n must be an integer")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _decompose(n, d, qparam, *_probes(qparam))
+    term = partial(dim_term, qparam)
+    if qparam == INFINITY:
+        at_most = lambda i, m, bound: term(i, m) <= bound
+    else:
+        at_most = partial(_rho_at_most, qparam)
+    return _decompose(n, d, qparam, term, at_most)
 
 
 def recompose(coeffs, d: int | None = None, qparam=None) -> int:

@@ -373,10 +373,7 @@ def _count_subspaces(k: int, r: int, q: int, cap: int) -> int:
 
 
 def min_subspace_support(
-    params: CodeParams,
-    r: int,
-    cap: int = DEFAULT_SUBSPACE_CAP,
-    gen: GeneratorMatrix | None = None,
+    params: CodeParams, r: int, cap: int = DEFAULT_SUBSPACE_CAP
 ) -> int:
     """Exhaustive r-th generalized Hamming weight of RM(d, m).
 
@@ -384,18 +381,13 @@ def min_subspace_support(
     encodes its canonical basis through the generator matrix, and takes
     the minimum number of coordinates where some basis codeword is
     nonzero.  Ground truth by definition; only viable at desk scale.
-    The subspace count is checked against `cap` before the matrix is
-    built; a scan over many ranks builds it once and passes it as `gen`.
     """
     k = params.dimension
     if not 1 <= r <= k:
         raise ValueError(f"r must be in [1, {k}]")
     n_subspaces = _count_subspaces(k, r, params.q, cap)
 
-    if gen is None:
-        gen = rm_generator_matrix(params)
-    elif (gen.field.q, len(gen.rows), len(gen.rows[0])) != (params.q, k, params.length):
-        raise ValueError(f"gen is not the generator matrix of {params}")  # q, k and q^m fix d, m
+    gen = rm_generator_matrix(params)
     field, n = gen.field, params.length
     nonzero = bytes([0]) + bytes([1]) * 255  # translate: element -> 1 if nonzero
 

@@ -21,7 +21,7 @@ from functools import cache
 from itertools import pairwise
 
 from .dims import CodeParams, rho
-from .macaulay import INFINITY, MacaulayRep, _decompose, _probes
+from .macaulay import INFINITY, MacaulayRep, _decompose, decompose
 
 
 def coeffs_to_mu(rep: MacaulayRep, m: int) -> tuple[int, ...]:
@@ -47,8 +47,7 @@ def _rank_rep(params: CodeParams, r: int) -> MacaulayRep:
     k = params.dimension
     if not 1 <= r <= k:
         raise ValueError(f"r must be in [1, {k}]")
-    # n = k - r < k = rho_q(d, m), and rho_q(d, .) increases, so m_d <= m - 1
-    return _decompose(k - r, params.d, params.q, *_probes(params.q), params.m - 1)
+    return decompose(k - r, params.d, params.q)
 
 
 def e_bar(params: CodeParams, r: int) -> int:
@@ -62,10 +61,12 @@ def e_bar(params: CodeParams, r: int) -> int:
 def e_bars(params: CodeParams):
     """Yield e_bar(params, r) for r = 1, ..., rho_q(d, m), in that order.
 
-    The same greedy as `e_bar`, rank by rank and with m_d <= m - 1, but
-    its probes compare values from a memo of rho created by this call:
-    the ranks of one code probe the same few (i, m_i) pairs over and
-    over, so exact values beat the partial sums of `decompose`.  A probe
+    The same greedy as `e_bar`, rank by rank, but its probes compare
+    values from a memo of rho created by this call: the ranks of one
+    code probe the same few (i, m_i) pairs over and over, so exact
+    values beat the partial sums of `decompose`.  Each rank decomposes
+    n = k - r < k = rho_q(d, m), and rho_q(d, .) increases, so m_d is
+    bounded by m - 1 and searched without doubling.  A probe
     has degree i <= d and coefficient -1 <= m_i <= m - 1, so the memo
     stays below d(m + 1) entries, and it is dropped with the generator.
     """

@@ -260,17 +260,6 @@ def test_verify_exhaustive_cap_too_small(capsys):
     assert (code, out) == (0, "PASS d_26 = 32\n")
 
 
-def test_verify_exhaustive_builds_one_matrix_for_its_rank_scan(capsys, monkeypatch):
-    calls = []
-    build = oracle.build_field
-    monkeypatch.setattr(oracle, "build_field", lambda q: calls.append(q) or build(q))
-    code, out, _ = run(
-        capsys, "verify", "--q", "2", "--d", "3", "--m", "4", "--oracle", "exhaustive"
-    )
-    assert (code, out) == (0, "PASS d_1 = 2\nPASS d_14 = 15\nPASS d_15 = 16\n")
-    assert calls == [2]
-
-
 @pytest.mark.parametrize("oracle_name", ["lex", "dims"])
 def test_verify_rejects_a_rank_outside_the_exhaustive_oracle(capsys, oracle_name):
     code, out, err = run(

@@ -193,28 +193,6 @@ def test_ghw_matches_the_full_evaluation_greedy():
                 assert ghw(p, r) == _reference_ghw(p, r), (p, r)
 
 
-def _reference_validate(coeffs, d, qparam):
-    """`validate` as three per-element conditions."""
-    if any(c < -1 for c in coeffs):
-        return False
-    if any(coeffs[j] < coeffs[j + 1] for j in range(d - 1)):
-        return False
-    if qparam != INFINITY:
-        for i in range(1, d - qparam + 2):  # m_i and m_{i+q-1}
-            high, low = coeffs[d - i - qparam + 1], coeffs[d - i]
-            if not (high > low or high == low == -1):
-                return False
-    return True
-
-
-def test_validate_matches_its_per_element_definition():
-    for q in (2, 3, 4, INFINITY):
-        for d in range(6):
-            for c in itertools.product(range(-2, 4), repeat=d):
-                assert validate(c, d, q) == _reference_validate(c, d, q), (q, c)
-                assert validate(list(c), d, q) == validate(c, d, q)
-
-
 def _valid_tuples(d, q, lo=-1, hi=5):
     for c in itertools.product(range(hi, lo - 1, -1), repeat=d):
         if validate(c, d, q):

@@ -257,8 +257,9 @@ def test_hierarchy_runs_no_macaulay_greedy(monkeypatch):
     def greedy(*args):
         raise AssertionError("hierarchy called the greedy")
 
-    # weights reaches the greedy through `_decompose` alone
-    monkeypatch.setattr("rmweights.weights._decompose", greedy)
+    # weights reaches the greedy through `decompose` (ranks) and `_decompose` (`e_bars`)
+    for name in ("rmweights.weights.decompose", "rmweights.weights._decompose"):
+        monkeypatch.setattr(name, greedy)
     assert list(hierarchy(p)) == expected
 
 
