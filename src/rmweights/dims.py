@@ -55,11 +55,10 @@ def _check_args(q: int, d: int, m: int) -> None:
 
 
 def _rho_early(q: int, d: int, m: int) -> int | None:
-    """Check the arguments, then return rho where no formula is needed:
+    """rho where no formula is needed, for arguments already checked:
     0 for d < 0 or m = -1, 1 for d >= 0 and m = 0, and q^m for
     d > m(q-1), where every further degree term counts zero tuples.
     None means the hockey-stick sum decides."""
-    _check_args(q, d, m)
     if d < 0 or m == -1:
         return 0
     if m == 0:
@@ -77,9 +76,12 @@ def rho(q: int, d: int, m: int) -> int:
     A call costs min(m, d/q) + 1 terms and checks its arguments first,
     before any early return.  Nothing is memoized here; a loop over the
     ranks of one code memoizes for itself (`weights.e_bars`).  The
-    Macaulay greedy asks `_rho_at_most` at its probes and calls this
-    once per coefficient.
+    Macaulay greedy decides its probes on partial sums of this formula
+    (`_bonferroni_at_most`), galloping down from each coefficient's
+    bound, and calls this once per coefficient, m_1 included, which it
+    takes in closed form since rho_q(1, m) = m + 1.
     """
+    _check_args(q, d, m)
     value = _rho_early(q, d, m)
     if value is not None:
         return value
@@ -94,13 +96,21 @@ def rho(q: int, d: int, m: int) -> int:
 
 
 def _rho_at_most(q: int, d: int, m: int, bound: int) -> bool:
-    """rho(q, d, m) <= bound, mostly from the first terms of its sum.
+    """rho(q, d, m) <= bound: the checks of `rho`, then
+    `_bonferroni_at_most`."""
+    _check_args(q, d, m)
+    return _bonferroni_at_most(q, d, m, bound)
 
-    The same checks, early returns and terms as `rho`.  Truncated after
-    term j, an inclusion-exclusion sum is >= its value for even j and
-    <= it for odd j (the Bonferroni inequalities), so an even partial
-    sum <= bound answers True and an odd one > bound answers False;
-    far from the bound that takes one or two terms.
+
+def _bonferroni_at_most(q: int, d: int, m: int, bound: int) -> bool:
+    """rho(q, d, m) <= bound, mostly from the first terms of its sum,
+    for arguments that the caller has checked.
+
+    The same early returns and terms as `rho`.  Truncated after term j,
+    an inclusion-exclusion sum is >= its value for even j and <= it for
+    odd j (the Bonferroni inequalities), so an even partial sum <= bound
+    answers True and an odd one > bound answers False; far from the
+    bound that takes one or two terms.
     """
     value = _rho_early(q, d, m)
     if value is not None:

@@ -8,11 +8,15 @@ the classical d-binomial representation.
 
 The greedy, `_decompose`, takes the summand as a function term(i, m)
 and a comparison at_most(i, m, bound).  It decides its probes through
-the comparison and evaluates one summand per coefficient.  For finite
-q, `decompose` compares on the partial sums of rho's
-inclusion-exclusion formula (`dims._rho_at_most`); a caller that
-decomposes many integers with one q can instead memoize the summands
-and compare the memoized values (`weights.e_bars`).
+the comparison and evaluates one summand per coefficient.  The two
+conditions bound each coefficient from above: by the one above it, and
+by one less after a run of q - 1 equal coefficients.  The search
+gallops down from that bound, since most coefficients lie at or just
+below it, and m_1 needs no search, as every degree-1 summand is
+m_1 + 1.  For finite q, `decompose` compares on the partial sums of
+rho's inclusion-exclusion formula (`dims._bonferroni_at_most`); a
+caller that decomposes many integers with one q can instead memoize the
+summands and compare the memoized values (`weights.e_bars`).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .dims import _rho_at_most, binomial, is_prime_power, rho
+from .dims import _bonferroni_at_most, binomial, is_prime_power, rho
 
 INFINITY = float("inf")
 
@@ -105,24 +109,28 @@ class MacaulayRep:
 
 
 def _greedy_coefficient(term, at_most, i: int, remainder: int, hi: int | None) -> tuple[int, int]:
-    """Largest m >= -1 with term(i, m) <= remainder, and term(i, m).
+    """Largest m in [-1, hi] with term(i, m) <= remainder, and term(i, m).
 
     term(i, m) is a degree-i summand, strictly increasing in m for
-    i >= 1, and at_most(i, m, bound) tells whether term(i, m) <= bound.
-    The probes only compare; term runs once, at the answer.  With no
-    bound the bracket is found by doubling from 0; a bound hi (the
-    coefficient of the degree above, m_i <= m_{i+1}, or a bound the
-    caller knows for m_d) is probed first and [-1, hi] is then bisected.
+    i >= 1, 0 at m = -1 and 1 at m = 0, and at_most(i, m, bound) tells
+    whether term(i, m) <= bound; the remainder is at least 1.  The
+    probes only compare; term runs once, at the answer.  With no bound
+    the bracket is found by doubling from 0.  A bound hi is probed
+    first, and the search then gallops down: hi - 1, hi - 3, hi - 7,
+    ..., down to the first probe that holds, and bisects only that last
+    step.  An answer g below hi thus takes at most 2 * g.bit_length()
+    probes.
     """
-    if remainder == 0:
-        return -1, 0  # every summand is 0 at m = -1 and 1 at m = 0
-    lo = -1
     if hi is None:
-        hi = 0
+        lo, hi = -1, 0
         while at_most(i, hi, remainder):
             lo, hi = hi, 2 * hi + 1
     elif at_most(i, hi, remainder):
         return hi, term(i, hi)
+    else:
+        lo, step = hi - 1, 2
+        while lo >= 0 and not at_most(i, lo, remainder):
+            lo, hi, step = max(lo - step, -1), lo, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if at_most(i, mid, remainder):
@@ -135,13 +143,34 @@ def _greedy_coefficient(term, at_most, i: int, remainder: int, hi: int | None) -
 def _decompose(n: int, d: int, qparam, term, at_most, top: int | None = None) -> MacaulayRep:
     """The greedy of `decompose`, with summands from term(i, m) and
     probes through at_most(i, m, bound); `top`, if given, must bound
-    m_d from above."""
-    coeffs = []
-    remainder, c = n, top
-    for i in range(d, 0, -1):
-        c, value = _greedy_coefficient(term, at_most, i, remainder, c)
+    m_d from above.
+
+    Each coefficient is bounded by the one above it, and by one less
+    after a run of q - 1 equal coefficients other than -1 (the spacing
+    condition).  Since term(1, m) = m + 1, m_1 needs no search, and once
+    the remainder is 0 every lower coefficient is -1.  The terms must
+    add up to n, which fails only if `top` is too low; by uniqueness
+    the result is then the representation of n.
+    """
+    coeffs, remainder, hi = [], n, top
+    run, spacing = 0, qparam - 1  # run: how many coefficients in a row equal hi
+    for i in range(d, 1, -1):
+        if not remainder:
+            break  # every summand is 0 at m = -1 and at least 1 above it
+        c, value = _greedy_coefficient(term, at_most, i, remainder, hi)
         remainder -= value
         coeffs.append(c)
+        run = run + 1 if c == hi else 1
+        hi = c
+        if run == spacing and c >= 0:  # never at q = INFINITY
+            hi, run = c - 1, 0
+    else:
+        c = remainder - 1 if hi is None else min(hi, remainder - 1)
+        remainder -= term(1, c)
+        coeffs.append(c)
+        if remainder:
+            raise AssertionError(f"the terms of {tuple(coeffs)} leave {remainder} of n = {n}")
+    coeffs += [-1] * (d - len(coeffs))
     return MacaulayRep(qparam, d, tuple(coeffs))
 
 
@@ -151,9 +180,13 @@ def decompose(n: int, d: int, qparam) -> MacaulayRep:
     Greedy from degree d down to 1: each coefficient is the unique
     m_i >= -1 with dim_term(i, m_i) <= remainder < dim_term(i, m_i + 1).
     Only m_d is searched without a bound; every lower one lies in
-    [-1, m_{i+1}].  A probe for finite q stops on the first partial
-    sum of rho that decides it (`dims._rho_at_most`), and each
-    coefficient evaluates one summand exactly.
+    [-1, m_{i+1}], or [-1, m_{i+1} - 1] when it would end a run of q
+    equal coefficients, and is found by galloping down from that bound.
+    m_1 is the remainder minus one, capped by its bound, with no probe.
+    A probe for finite q stops on the first partial sum of rho that
+    decides it (`dims._bonferroni_at_most`, which skips the argument
+    checks: q is checked here once, and the greedy makes i and m), and
+    each coefficient evaluates one summand exactly.
     """
     _check_qparam(qparam)
     if not isinstance(n, int):
@@ -164,7 +197,7 @@ def decompose(n: int, d: int, qparam) -> MacaulayRep:
     if qparam == INFINITY:
         at_most = lambda i, m, bound: term(i, m) <= bound
     else:
-        at_most = partial(_rho_at_most, qparam)
+        at_most = partial(_bonferroni_at_most, qparam)
     return _decompose(n, d, qparam, term, at_most)
 
 

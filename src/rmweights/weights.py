@@ -66,9 +66,11 @@ def e_bars(params: CodeParams):
     code probe the same few (i, m_i) pairs over and over, so exact
     values beat the partial sums of `decompose`.  Each rank decomposes
     n = k - r < k = rho_q(d, m), and rho_q(d, .) increases, so m_d is
-    bounded by m - 1 and searched without doubling.  A probe
-    has degree i <= d and coefficient -1 <= m_i <= m - 1, so the memo
-    stays below d(m + 1) entries, and it is dropped with the generator.
+    bounded by m - 1: the greedy probes m - 1 and gallops down from it,
+    with no doubling, and every lower coefficient likewise from its own
+    bound (`macaulay._decompose`).  A probe has degree i <= d and
+    coefficient -1 <= m_i <= m - 1, so the memo stays below d(m + 1)
+    entries, and it is dropped with the generator.
     """
     q, d, m = params.q, params.d, params.m
     term = cache(lambda i, c: rho(q, i, c))

@@ -1,14 +1,17 @@
 import itertools
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmweights.dims import CodeParams, rho
+from rmweights.dims import CodeParams, _rho_at_most, rho
 from rmweights.macaulay import (
     INFINITY,
     MacaulayRep,
+    _decompose,
     compare,
     decompose,
     dim_term,
@@ -158,6 +161,63 @@ def test_decompose_matches_the_full_evaluation_greedy():
         for _ in range(6):
             d, n = rng.randint(16, 40), rng.randint(10**10, 10**70)
             assert decompose(n, d, q).coeffs == _reference_decompose(n, d, q), (q, d, n)
+
+
+def _at_most(q):
+    """The probe comparison that `decompose` makes, with checked arguments."""
+    if q == INFINITY:
+        return lambda i, m, bound: dim_term(q, i, m) <= bound
+    return partial(_rho_at_most, q)
+
+
+def _gallop_edge_tuples(q):
+    """Valid tuples (m_d, ..., m_1) whose gaps m_{i+1} - m_i are 0, 1,
+    2^j - 1, 2^j and 2^j + 1: levels that far apart, each held for one
+    coefficient or for a full run of q - 1 (3 at q = INFINITY)."""
+    gaps = [1, *(2**j + e for j in range(1, 7) for e in (-1, 0, 1))]
+    for run in {1, 3 if q == INFINITY else q - 1}:
+        for m_1 in (-1, 0, 2, 10**5):
+            for g in gaps:
+                levels = (m_1, m_1 + g, m_1 + g + 1, m_1 + 2 * g + 1)
+                yield tuple(c for level in reversed(levels) for c in [level] * run)
+
+
+@pytest.mark.parametrize("q", [*SWEEP_QS, INFINITY])
+def test_decompose_round_trips_the_gallop_edges(q):
+    for t in _gallop_edge_tuples(q):
+        d = len(t)
+        assert validate(t, d, q), t
+        assert decompose(recompose(t, d, q), d, q).coeffs == t, (q, t)
+
+
+@pytest.mark.parametrize("q", [*SWEEP_QS, INFINITY])
+def test_greedy_probes_grow_with_the_log_of_each_gap(q):
+    run = None if q == INFINITY else q - 1
+    for t in _gallop_edge_tuples(q):
+        d, probes, highest = len(t), Counter(), {}
+
+        def at_most(i, m, bound, compare=_at_most(q)):
+            probes[i] += 1
+            highest[i] = max(m, highest.get(i, m))
+            return compare(i, m, bound)
+
+        rep = _decompose(recompose(t, d, q), d, q, partial(dim_term, q), at_most)
+        assert rep.coeffs == t
+        assert probes[1] == 0, t  # m_1 is the remainder minus one
+        for i in range(2, d):  # t[d - i] is m_i, and t[d - i - 1] the one above
+            gap = t[d - i - 1] - t[d - i]
+            assert probes[i] <= 2 * gap.bit_length() + 1, (q, t, i, probes[i])
+            # m_i < m_{i+1} when m_{i+1}, ..., m_{i+q-1} are q - 1 equal entries, not -1
+            above = t[max(d - i - run, 0) : d - i] if run else ()
+            hi = t[d - i - 1] - (len(above) == run and len(set(above)) == 1 and above[0] >= 0)
+            assert highest.get(i, -1) <= hi, (q, t, i, highest[i])
+
+
+@pytest.mark.parametrize("q", [4, 5, INFINITY])
+def test_greedy_raises_when_its_top_bound_is_too_low(q):
+    # 10^6 needs m_3 far above 3; the capped terms leave most of it
+    with pytest.raises(AssertionError, match="leave"):
+        _decompose(10**6, 3, q, partial(dim_term, q), _at_most(q), 3)
 
 
 def _code_of_dimension(q, d, target):

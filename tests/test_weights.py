@@ -216,6 +216,7 @@ def _table_reps(p: CodeParams, ranks):
         (256, 500, 50, [12345]),
         (3, 120, 150, [10**20 + 7, 10**30 + 1]),
         (2, 200, 400, [10**20 + 3, 10**30 + 9]),
+        (2, 500, 1000, [10**50]),
     ],
 )
 def test_table_greedy_matches_ghw_at_big_ranks(q, d, m, ranks):
