@@ -10,6 +10,10 @@ Three oracles, each deliberately naive:
   the message space, enumerated once each via reduced-row-echelon
   canonical bases.
 
+Naive means every tuple and every subspace is visited, and none of the
+closed forms is called; the per-element work runs in C where it can
+(`bytes.translate` over digit sums, big-integer support masks).
+
 Field arithmetic uses full lookup tables.  Extension fields are built
 modulo pinned irreducible polynomials: x^2+x+1 for GF(4), x^3+x+1 for
 GF(8), x^2+1 for GF(9), x^4+x+1 for GF(16).  The field axioms are
@@ -18,6 +22,7 @@ re-verified exhaustively every time a table is constructed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import sys
@@ -217,9 +222,32 @@ def _check_enumeration_args(q: int, m: int, cap: int) -> None:
 
 
 def count_reduced_monomials(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> int:
-    """Count tuples in {0..q-1}^m with sum <= d by walking all of them."""
+    """Count tuples in {0..q-1}^m with sum <= d by walking all of them.
+
+    The last j coordinates (the tail) are walked in C: their digit sums
+    are one `bytes` string, one byte per tail tuple, built by q
+    translate-and-join steps per coordinate.  A Python loop runs over
+    the other m - j coordinates (the head), and for each head one
+    translate deletes the tail bytes above d - sum(head) and the rest
+    are counted.  j is the largest with j <= m, q^j <= 2^16 and
+    j(q-1) <= 255, so a tail sum fits in a byte; j = 0 (q > 256) is the
+    plain walk over all m coordinates."""
     _check_enumeration_args(q, m, cap)
-    return sum(1 for t in itertools.product(range(q), repeat=m) if sum(t) <= d)
+    j = 0
+    while j < m and q ** (j + 1) <= 1 << 16 and (j + 1) * (q - 1) <= 255:
+        j += 1
+    ramp = bytes(range(256)) * 2  # ramp[a:a + 256] maps byte x to x + a (mod 256)
+    tails = b"\0"  # the one empty tail, of sum 0
+    for _ in range(j):
+        # a new coordinate of value a adds a to every sum so far (none wraps:
+        # they stay <= j(q-1) <= 255)
+        tails = b"".join(tails.translate(ramp[a:a + 256]) for a in range(q))
+    count = 0
+    for head in itertools.product(range(q), repeat=m - j):
+        t = d - sum(head)
+        if t >= 0:
+            count += len(tails.translate(None, ramp[t + 1:256]))  # drop the sums above t
+    return count
 
 
 def enumerate_tuples(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> tuple:
@@ -380,8 +408,14 @@ def min_subspace_support(
     Enumerates every r-dimensional subspace of the message space,
     encodes its canonical basis through the generator matrix, and takes
     the minimum number of coordinates where some basis codeword is
-    nonzero.  Ground truth by definition; only viable at desk scale.
+    nonzero.  `_rref_bases` varies the last row fastest, so the support
+    of the leading r - 1 rows is kept as one int and encoded again only
+    when those rows differ from the previous basis' (one tuple compare);
+    a basis that shares them encodes its last row alone.  Ground truth
+    by definition; only viable at desk scale.
     """
+    if not isinstance(r, int):
+        raise TypeError("r must be an integer")
     k = params.dimension
     if not 1 <= r <= k:
         raise ValueError(f"r must be in [1, {k}]")
@@ -391,19 +425,24 @@ def min_subspace_support(
     field, n = gen.field, params.length
     nonzero = bytes([0]) + bytes([1]) * 255  # translate: element -> 1 if nonzero
 
+    def support(vector) -> int:
+        """One set bit per coordinate where vector's codeword is nonzero."""
+        terms = (row if v == 1 else field.vscale(v, row)
+                 for v, row in zip(vector, gen.rows) if v)
+        cw = functools.reduce(field.vadd, terms)  # a basis row is never 0
+        return int.from_bytes(cw.translate(nonzero), "big")
+
     best = n + 1
     seen = 0
+    head, head_union = None, 0  # the leading rows and their support
     for basis in _rref_bases(k, r, params.q):
-        union = 0  # one set bit per coordinate where a basis codeword is nonzero
-        for vector in basis:
-            cw = bytes(n)
-            for v, row in zip(vector, gen.rows):
-                if v:
-                    cw = field.vadd(cw, row if v == 1 else field.vscale(v, row))
-            union |= int.from_bytes(cw.translate(nonzero), "big")
-        support = union.bit_count()
-        if support < best:
-            best = support
+        if basis[:-1] != head:
+            head, head_union = basis[:-1], 0
+            for vector in head:
+                head_union |= support(vector)
+        count = (head_union | support(basis[-1])).bit_count()
+        if count < best:
+            best = count
         seen += 1
     if seen != n_subspaces:
         raise AssertionError(f"scanned {seen} subspaces, not [{k}, {r}]_{params.q} = {n_subspaces}")

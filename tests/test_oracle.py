@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
+import math
 import sys
 import tracemalloc
 
 import pytest
 
+from rmweights import dims
 from rmweights.dims import CodeParams
 from rmweights.oracle import (
     SUPPORTED_Q,
@@ -120,6 +123,38 @@ def test_count_reduced_monomials():
     assert count_reduced_monomials(4, 3, 3) == 20
     assert count_reduced_monomials(2, -1, 3) == 0
     assert count_reduced_monomials(3, 0, 0) == 1
+
+
+def _plain_count(q, d, m):
+    """The count as a plain walk: one tuple and one sum per exponent tuple."""
+    return sum(1 for t in itertools.product(range(q), repeat=m) if sum(t) <= d)
+
+
+@pytest.mark.parametrize(
+    "q, ms",
+    [(q, range(5 if q < 5 else 3)) for q in (*SUPPORTED_Q, 6)]
+    + [(257, [2]), (300, [2]), (65537, [1]), (2, [17]), (3, [11])],
+)
+def test_count_matches_the_plain_walk(q, ms):
+    # q^m up to 2^16 sits in one tail string; (2, 17) and (3, 11) loop over
+    # heads, and no sum of q = 257 or 300 fits a byte, so j = 0 there
+    for m in ms:
+        top = m * (q - 1)
+        for d in {-1, 0, 1, top // 2, top - 1, top, top + 1, 10**6}:
+            assert count_reduced_monomials(q, d, m) == _plain_count(q, d, m), (q, d, m)
+
+
+def test_count_uses_no_closed_form(monkeypatch):
+    cases = [(2, 7, 17), (3, 9, 11), (5, 6, 4), (16, 20, 3), (256, 300, 2), (257, 300, 2)]
+    want = [dims.rho(*c) for c in cases]
+
+    def closed_form(*args):
+        raise AssertionError("the tuple count called a closed form")
+
+    for name in ("rho", "rho_binomial", "rho_recursive", "dimension_rows", "binomial"):
+        monkeypatch.setattr(dims, name, closed_form)
+    monkeypatch.setattr(math, "comb", closed_form)
+    assert [count_reduced_monomials(*c) for c in cases] == want
 
 
 def test_enumeration_caps():
@@ -257,6 +292,46 @@ def test_min_subspace_support_values():
     assert min_subspace_support(CodeParams(3, 1, 2), 2) == 8
     assert min_subspace_support(CodeParams(4, 1, 1), 1) == 3
     assert min_subspace_support(CodeParams(4, 1, 1), 2) == 4
+
+
+def _per_basis_min_support(params, r):
+    """The scan as a loop that encodes every row of every basis."""
+    from rmweights.oracle import _rref_bases
+
+    gen = rm_generator_matrix(params)
+    field, n = gen.field, params.length
+    nonzero = bytes([0]) + bytes([1]) * 255
+    best = n + 1
+    for basis in _rref_bases(params.dimension, r, params.q):
+        union = 0
+        for vector in basis:
+            cw = bytes(n)
+            for v, row in zip(vector, gen.rows):
+                if v:
+                    cw = field.vadd(cw, row if v == 1 else field.vscale(v, row))
+            union |= int.from_bytes(cw.translate(nonzero), "big")
+        best = min(best, union.bit_count())
+    return best
+
+
+@pytest.mark.parametrize(
+    "q, d, m",
+    [(2, 1, 3), (2, 2, 3), (2, 1, 4), (3, 1, 2), (3, 2, 2), (4, 1, 2), (4, 2, 1),
+     (5, 2, 1), (7, 1, 1), (8, 2, 1), (9, 2, 1)],
+)
+def test_min_subspace_support_matches_the_per_basis_loop(q, d, m):
+    # every rank with at most 2,000 subspaces, r = 1 and r = k among them;
+    # where the last pivot is column k - 1 the last row has no free
+    # position, so the leading rows change at every basis
+    p = CodeParams(q, d, m)
+    for r in ranks_under_cap(p.dimension, q, 2000):
+        assert min_subspace_support(p, r) == _per_basis_min_support(p, r), (p, r)
+
+
+def test_min_subspace_support_rejects_a_non_integer_rank():
+    for r in (2.0, "2"):
+        with pytest.raises(TypeError, match="^r must be an integer$"):
+            min_subspace_support(CodeParams(2, 1, 3), r)
 
 
 def test_min_subspace_support_guards():
