@@ -42,34 +42,34 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _open_out(path):
-    return nullcontext(sys.stdout) if path is None else open(path, "w")
+def _emit(path, fmt, doc, header, rows, lines) -> None:
+    """Print one result in the requested format, to stdout, or to the
+    file at `path` (`--out`).
 
-
-def _emit(out, fmt, doc, header, rows, lines) -> None:
-    """Print one result in the requested format.
-
+    The file is opened here, once the command has its result, so a
+    command that fails before it leaves an existing file as it was.
     json prints the document built by the zero-argument callable `doc`;
     csv prints `header` and then each row joined by commas, with bools
     as true/false; plain prints each of `lines`.  `rows` and `lines` may
     be generators, so no format builds another format's output."""
-    if fmt == "json":
-        print(json.dumps(doc(), indent=2), file=out)
-    elif fmt == "csv":
-        print(header, file=out)
-        for row in rows:
-            cells = (str(v).lower() if isinstance(v, bool) else str(v) for v in row)
-            print(",".join(cells), file=out)
-    else:
-        for line in lines:
-            print(line, file=out)
+    with nullcontext(sys.stdout) if path is None else open(path, "w") as out:
+        if fmt == "json":
+            print(json.dumps(doc(), indent=2), file=out)
+        elif fmt == "csv":
+            print(header, file=out)
+            for row in rows:
+                cells = (str(v).lower() if isinstance(v, bool) else str(v) for v in row)
+                print(",".join(cells), file=out)
+        else:
+            for line in lines:
+                print(line, file=out)
 
 
-def cmd_dim(args, out) -> int:
+def cmd_dim(args) -> int:
     params = CodeParams(args.q, args.d, args.m)
     value = params.dimension
     _emit(
-        out, args.format,
+        args.out, args.format,
         doc=lambda: {"params": asdict(params), "rho": str(value)},
         header="q,d,m,rho", rows=[(params.q, params.d, params.m, value)],
         lines=[value],
@@ -77,12 +77,12 @@ def cmd_dim(args, out) -> int:
     return 0
 
 
-def cmd_macaulay(args, out) -> int:
+def cmd_macaulay(args) -> int:
     qparam = _parse_qparam(args.q)
     rep = decompose(args.n, args.d, qparam)
     terms = rep.term_values()
     _emit(
-        out, args.format,
+        args.out, args.format,
         doc=lambda: {
             "q": "inf" if qparam == INFINITY else qparam,
             "d": rep.d,
@@ -97,12 +97,12 @@ def cmd_macaulay(args, out) -> int:
     return 0
 
 
-def cmd_ghw(args, out) -> int:
+def cmd_ghw(args) -> int:
     params = CodeParams(args.q, args.d, args.m)
     eb = weights.e_bar(params, args.r)
     dr = params.length - eb
     _emit(
-        out, args.format,
+        args.out, args.format,
         doc=lambda: {
             "params": asdict(params),
             "r": args.r,
@@ -115,11 +115,11 @@ def cmd_ghw(args, out) -> int:
     return 0
 
 
-def cmd_hierarchy(args, out) -> int:
+def cmd_hierarchy(args) -> int:
     params = CodeParams(args.q, args.d, args.m)
     h = weights.hierarchy(params)
     _emit(
-        out, args.format,
+        args.out, args.format,
         doc=lambda: {
             "params": asdict(params),
             "rho": str(len(h)),
@@ -131,7 +131,7 @@ def cmd_hierarchy(args, out) -> int:
     return 0
 
 
-def cmd_table(args, out) -> int:
+def cmd_table(args) -> int:
     # parse every range and test every q first, so bad input is rejected
     # before the header
     q_range = _parse_range(args.q)
@@ -153,11 +153,11 @@ def cmd_table(args, out) -> int:
                     for r, w in enumerate(h, start=1):
                         yield q, d, m, r, w
 
-    _emit(out, "csv", doc=None, header="q,d,m,r,d_r", rows=rows(), lines=())
+    _emit(args.out, "csv", doc=None, header="q,d,m,r,d_r", rows=rows(), lines=())
     return 0
 
 
-def _verify_lex(params: CodeParams, args, out) -> bool:
+def _verify_lex(params: CodeParams, args) -> bool:
     k = params.dimension
     tuple_cap = args.cap if args.cap is not None else oracle.DEFAULT_TUPLE_CAP
     column = oracle.e_bar_lex_column(params, tuple_cap)
@@ -178,7 +178,7 @@ def _verify_lex(params: CodeParams, args, out) -> bool:
             yield f"PASS ({k} ranks checked)"
 
     _emit(
-        out, args.format,
+        args.out, args.format,
         doc=lambda: {
             "oracle": "lex",
             "status": "pass" if not mismatches else "fail",
@@ -194,7 +194,7 @@ def _verify_lex(params: CodeParams, args, out) -> bool:
     return not mismatches
 
 
-def _verify_exhaustive(params: CodeParams, args, out) -> bool:
+def _verify_exhaustive(params: CodeParams, args) -> bool:
     k = params.dimension
     subspace_cap = args.cap if args.cap is not None else oracle.DEFAULT_SUBSPACE_CAP
     if args.r is not None:
@@ -217,7 +217,7 @@ def _verify_exhaustive(params: CodeParams, args, out) -> bool:
             yield f"FAIL ({len(mismatches)} mismatches / {len(rows)} ranks)"
 
     _emit(
-        out, args.format,
+        args.out, args.format,
         doc=lambda: {
             "oracle": "exhaustive",
             "status": "pass" if not mismatches else "fail",
@@ -232,7 +232,7 @@ def _verify_exhaustive(params: CodeParams, args, out) -> bool:
     return not mismatches
 
 
-def _verify_dims(params: CodeParams, args, out) -> bool:
+def _verify_dims(params: CodeParams, args) -> bool:
     q, d, m = params.q, params.d, params.m
     tuple_cap = args.cap if args.cap is not None else oracle.DEFAULT_TUPLE_CAP
     # enumerate first: a code past the cap exits before the closed forms run
@@ -250,7 +250,7 @@ def _verify_dims(params: CodeParams, args, out) -> bool:
     else:
         lines = [*(f"{name} = {v}" for name, v in values.items()), "FAIL (methods disagree)"]
     _emit(
-        out, args.format,
+        args.out, args.format,
         doc=lambda: {
             "oracle": "dims",
             "status": "pass" if agreed else "fail",
@@ -262,12 +262,12 @@ def _verify_dims(params: CodeParams, args, out) -> bool:
     return agreed
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args) -> int:
     if args.r is not None and args.oracle != "exhaustive":
         raise ValueError(f"--r applies only to --oracle exhaustive, not --oracle {args.oracle}")
     params = CodeParams(args.q, args.d, args.m)
     verify = {"lex": _verify_lex, "exhaustive": _verify_exhaustive, "dims": _verify_dims}
-    passed = verify[args.oracle](params, args, out)
+    passed = verify[args.oracle](params, args)
     return 0 if passed else 1
 
 
@@ -335,8 +335,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _open_out(args.out) as out:
-            return args.func(args, out)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

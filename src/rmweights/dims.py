@@ -4,8 +4,11 @@ The dimension of RM(d, m) over F_q equals the number of exponent tuples
 in {0, ..., q-1}^m with coordinate sum at most d.  This module computes
 it by three independent routes (inclusion-exclusion formula, window-sum
 table over the variables, plain binomial for low degrees) so they can
-cross-check each other.  Everything is unbounded-integer arithmetic; no
-floats.
+cross-check each other.  The formula has one kernel, `_rho_upto`, which
+returns rho only up to a bound and gives up early above it; `rho` calls
+it with no bound (math.inf, only ever compared), and the Macaulay greedy
+probes with it directly.  Everything else is unbounded-integer
+arithmetic; no floats.
 """
 
 from __future__ import annotations
@@ -54,20 +57,6 @@ def _check_args(q: int, d: int, m: int) -> None:
         raise ValueError("m must be >= -1")
 
 
-def _rho_early(q: int, d: int, m: int) -> int | None:
-    """rho where no formula is needed, for arguments already checked:
-    0 for d < 0 or m = -1, 1 for d >= 0 and m = 0, and q^m for
-    d > m(q-1), where every further degree term counts zero tuples.
-    None means the hockey-stick sum decides."""
-    if d < 0 or m == -1:
-        return 0
-    if m == 0:
-        return 1
-    if d > m * (q - 1):
-        return q**m
-    return None
-
-
 def rho(q: int, d: int, m: int) -> int:
     """Dimension of RM(d, m) over F_q by the inclusion-exclusion formula.
 
@@ -75,59 +64,42 @@ def rho(q: int, d: int, m: int) -> int:
     d >= m(q-1) the code fills the whole space, so the value is q^m.
     A call costs min(m, d/q) + 1 terms and checks its arguments first,
     before any early return.  Nothing is memoized here; a loop over the
-    ranks of one code memoizes for itself (`weights.e_bars`).  The
-    Macaulay greedy decides its probes on partial sums of this formula
-    (`_bonferroni_at_most`), galloping down from each coefficient's
-    bound, and calls this once per coefficient, m_1 included, which it
-    takes in closed form since rho_q(1, m) = m + 1.
+    ranks of one code memoizes for itself (`weights.e_bars`).
     """
     _check_args(q, d, m)
-    value = _rho_early(q, d, m)
-    if value is not None:
-        return value
-    # j variables forced to exponent >= q, the degree left spread over
-    # m variables and a slack (hockey-stick sum over degrees <= d)
-    comb = math.comb
-    total, sign = 0, 1
-    for j in range(min(m, d // q) + 1):
-        total += sign * comb(m, j) * comb(m + d - q * j, m)
-        sign = -sign
-    return total
+    return _rho_upto(q, d, m, math.inf)  # never None; q^m would cost a power at big m
 
 
-def _rho_at_most(q: int, d: int, m: int, bound: int) -> bool:
-    """rho(q, d, m) <= bound: the checks of `rho`, then
-    `_bonferroni_at_most`."""
-    _check_args(q, d, m)
-    return _bonferroni_at_most(q, d, m, bound)
+def _rho_upto(q: int, d: int, m: int, bound: int | float) -> int | None:
+    """rho(q, d, m) if it is <= bound, else None, for arguments that the
+    caller has checked.
 
-
-def _bonferroni_at_most(q: int, d: int, m: int, bound: int) -> bool:
-    """rho(q, d, m) <= bound, mostly from the first terms of its sum,
-    for arguments that the caller has checked.
-
-    The same early returns and terms as `rho`.  Truncated after term j,
-    an inclusion-exclusion sum is >= its value for even j and <= it for
-    odd j (the Bonferroni inequalities), so an even partial sum <= bound
-    answers True and an odd one > bound answers False; far from the
-    bound that takes one or two terms.
+    0 for d < 0 or m = -1, 1 for m = 0 and q^m for d > m(q-1), where
+    every further degree term counts zero tuples; otherwise the
+    hockey-stick sum: j variables forced to exponent >= q, the degree
+    left spread over m variables and a slack.  Truncated after an odd
+    term j, an inclusion-exclusion sum is <= its value (the Bonferroni
+    inequalities), so an odd partial sum above the bound answers None
+    at once, and a value <= bound takes the whole sum.
     """
-    value = _rho_early(q, d, m)
-    if value is not None:
-        return value <= bound
-    comb = math.comb
-    total = 0
-    for j in range(min(m, d // q) + 1):
-        term = comb(m, j) * comb(m + d - q * j, m)
-        if j & 1:
-            total -= term
-            if total > bound:
-                return False
-        else:
-            total += term
-            if total <= bound:
-                return True
-    return total <= bound  # the whole sum, which is rho
+    if d < 0 or m == -1:
+        value = 0
+    elif m == 0:
+        value = 1
+    elif d > m * (q - 1):
+        value = q**m
+    else:
+        comb = math.comb
+        value = 0
+        for j in range(min(m, d // q) + 1):
+            term = comb(m, j) * comb(m + d - q * j, m)
+            if j & 1:
+                value -= term
+                if value > bound:
+                    return None
+            else:
+                value += term
+    return value if value <= bound else None
 
 
 def rho_binomial(q: int, d: int, m: int) -> int:

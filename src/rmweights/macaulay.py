@@ -6,26 +6,28 @@ apart strictly increase unless both are -1.  Passing ``INFINITY`` for q
 switches the summands to plain binomials C(m_i + i, i), which recovers
 the classical d-binomial representation.
 
-The greedy, `_decompose`, takes the summand as a function term(i, m)
-and a comparison at_most(i, m, bound).  It decides its probes through
-the comparison and evaluates one summand per coefficient.  The two
-conditions bound each coefficient from above: by the one above it, and
-by one less after a run of q - 1 equal coefficients.  The search
-gallops down from that bound, since most coefficients lie at or just
-below it, and m_1 needs no search, as every degree-1 summand is
-m_1 + 1.  For finite q, `decompose` compares on the partial sums of
-rho's inclusion-exclusion formula (`dims._bonferroni_at_most`); a
-caller that decomposes many integers with one q can instead memoize the
-summands and compare the memoized values (`weights.e_bars`).
+The greedy, `_decompose`, takes one probe, fit(i, m, bound), which
+returns the degree-i summand at m when it is <= bound and None
+otherwise; the summand of each coefficient is the value of its last
+probe that fit, so no summand is evaluated twice.  The two conditions
+bound each coefficient from above: by the one above it, and by one less
+after a run of q - 1 equal coefficients.  The search gallops down from
+that bound, since most coefficients lie at or just below it, and m_1
+needs no search, as every degree-1 summand is m_1 + 1.  For finite q,
+`decompose` probes with `dims._rho_upto`, which gives up on the first
+partial sum of rho's inclusion-exclusion formula past the bound; a
+caller that decomposes many integers with one q can instead probe a
+memo of the summands (`weights.e_bars`).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .dims import _bonferroni_at_most, binomial, is_prime_power, rho
+from .dims import _rho_upto, binomial, is_prime_power, rho
 
 INFINITY = float("inf")
 
@@ -50,15 +52,19 @@ def validate(coeffs: Sequence[int], d: int, qparam) -> bool:
     Requires -1 <= m_1 <= ... <= m_d and, for finite q, that
     m_{i+q-1} > m_i for every i unless both entries are -1.  The
     spacing condition is vacuous at q = INFINITY.  The tuple is given
-    highest degree first, (m_d, ..., m_1).
+    highest degree first, (m_d, ..., m_1).  A non-integer d or
+    coefficient raises TypeError, and a tuple of the wrong length
+    ValueError.
     """
     _check_qparam(qparam)
+    if not isinstance(d, int) or not all(isinstance(c, int) for c in coeffs):
+        raise TypeError("d and the coefficients must be integers")
     if len(coeffs) != d:
         raise ValueError(f"expected {d} coefficients, got {len(coeffs)}")
-    if any(c < -1 for c in coeffs):
+    if min(coeffs, default=-1) < -1:
         return False
     # coeffs runs m_d down to m_1, so it must be nonincreasing as stored
-    if any(coeffs[j] < coeffs[j + 1] for j in range(d - 1)):
+    if any(map(operator.lt, coeffs, coeffs[1:])):
         return False
     if qparam != INFINITY:
         step = qparam - 1
@@ -108,56 +114,57 @@ class MacaulayRep:
         )
 
 
-def _greedy_coefficient(term, at_most, i: int, remainder: int, hi: int | None) -> tuple[int, int]:
+def _greedy_coefficient(fit, i: int, remainder: int, hi: int | None) -> tuple[int, int]:
     """Largest m in [-1, hi] with term(i, m) <= remainder, and term(i, m).
 
     term(i, m) is a degree-i summand, strictly increasing in m for
-    i >= 1, 0 at m = -1 and 1 at m = 0, and at_most(i, m, bound) tells
-    whether term(i, m) <= bound; the remainder is at least 1.  The
-    probes only compare; term runs once, at the answer.  With no bound
-    the bracket is found by doubling from 0.  A bound hi is probed
-    first, and the search then gallops down: hi - 1, hi - 3, hi - 7,
-    ..., down to the first probe that holds, and bisects only that last
-    step.  An answer g below hi thus takes at most 2 * g.bit_length()
-    probes.
+    i >= 1, 0 at m = -1 and 1 at m = 0; the probe fit(i, m, bound)
+    returns it when it is <= bound and None otherwise, and the remainder
+    is at least 1.  The answer's term is the value of the last probe
+    that fit, so no summand is evaluated twice.  With no bound the
+    bracket is found by doubling from 0.  A bound hi is probed first,
+    and the search then gallops down: hi - 1, hi - 3, hi - 7, ..., down
+    to the first probe that fits, and bisects only that last step.  An
+    answer g below hi thus takes at most 2 * g.bit_length() probes.
     """
     if hi is None:
-        lo, hi = -1, 0
-        while at_most(i, hi, remainder):
-            lo, hi = hi, 2 * hi + 1
-    elif at_most(i, hi, remainder):
-        return hi, term(i, hi)
+        lo, lo_value, hi = -1, 0, 0
+        while (value := fit(i, hi, remainder)) is not None:
+            lo, lo_value, hi = hi, value, 2 * hi + 1
+    elif (value := fit(i, hi, remainder)) is not None:
+        return hi, value
     else:
         lo, step = hi - 1, 2
-        while lo >= 0 and not at_most(i, lo, remainder):
+        while lo >= 0 and (value := fit(i, lo, remainder)) is None:
             lo, hi, step = max(lo - step, -1), lo, 2 * step
+        lo_value = value if lo >= 0 else 0  # the summand at m = -1 is 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if at_most(i, mid, remainder):
-            lo = mid
-        else:
+        if (value := fit(i, mid, remainder)) is None:
             hi = mid
-    return lo, term(i, lo)
+        else:
+            lo, lo_value = mid, value
+    return lo, lo_value
 
 
-def _decompose(n: int, d: int, qparam, term, at_most, top: int | None = None) -> MacaulayRep:
-    """The greedy of `decompose`, with summands from term(i, m) and
-    probes through at_most(i, m, bound); `top`, if given, must bound
-    m_d from above.
+def _decompose(n: int, d: int, qparam, fit, top: int | None = None) -> MacaulayRep:
+    """The greedy of `decompose`, probing through fit(i, m, bound), which
+    returns the degree-i summand at m if it is <= bound and None
+    otherwise; `top`, if given, must bound m_d from above.
 
     Each coefficient is bounded by the one above it, and by one less
     after a run of q - 1 equal coefficients other than -1 (the spacing
-    condition).  Since term(1, m) = m + 1, m_1 needs no search, and once
-    the remainder is 0 every lower coefficient is -1.  The terms must
-    add up to n, which fails only if `top` is too low; by uniqueness
-    the result is then the representation of n.
+    condition).  Since every degree-1 summand is m + 1, m_1 needs no
+    search, and once the remainder is 0 every lower coefficient is -1.
+    The terms must add up to n, which fails only if `top` is too low;
+    by uniqueness the result is then the representation of n.
     """
     coeffs, remainder, hi = [], n, top
     run, spacing = 0, qparam - 1  # run: how many coefficients in a row equal hi
     for i in range(d, 1, -1):
         if not remainder:
             break  # every summand is 0 at m = -1 and at least 1 above it
-        c, value = _greedy_coefficient(term, at_most, i, remainder, hi)
+        c, value = _greedy_coefficient(fit, i, remainder, hi)
         remainder -= value
         coeffs.append(c)
         run = run + 1 if c == hi else 1
@@ -166,12 +173,18 @@ def _decompose(n: int, d: int, qparam, term, at_most, top: int | None = None) ->
             hi, run = c - 1, 0
     else:
         c = remainder - 1 if hi is None else min(hi, remainder - 1)
-        remainder -= term(1, c)
+        remainder -= c + 1
         coeffs.append(c)
         if remainder:
             raise AssertionError(f"the terms of {tuple(coeffs)} leave {remainder} of n = {n}")
     coeffs += [-1] * (d - len(coeffs))
     return MacaulayRep(qparam, d, tuple(coeffs))
+
+
+def _binomial_fit(i: int, m: int, bound: int) -> int | None:
+    """The probe at q = INFINITY: C(m + i, i) if it is <= bound, else None."""
+    value = binomial(m + i, i)
+    return value if value <= bound else None
 
 
 def decompose(n: int, d: int, qparam) -> MacaulayRep:
@@ -183,22 +196,19 @@ def decompose(n: int, d: int, qparam) -> MacaulayRep:
     [-1, m_{i+1}], or [-1, m_{i+1} - 1] when it would end a run of q
     equal coefficients, and is found by galloping down from that bound.
     m_1 is the remainder minus one, capped by its bound, with no probe.
-    A probe for finite q stops on the first partial sum of rho that
-    decides it (`dims._bonferroni_at_most`, which skips the argument
-    checks: q is checked here once, and the greedy makes i and m), and
-    each coefficient evaluates one summand exactly.
+    A probe for finite q is `dims._rho_upto`, which skips the argument
+    checks (q is checked here once, and the greedy makes i and m) and
+    stops on the first odd partial sum of rho past the remainder; the
+    summand of each coefficient is the value its last fitting probe
+    returned.
     """
     _check_qparam(qparam)
-    if not isinstance(n, int):
-        raise TypeError("n must be an integer")
+    if not isinstance(n, int) or not isinstance(d, int):
+        raise TypeError("n and d must be integers")
     if n < 0:
         raise ValueError("n must be >= 0")
-    term = partial(dim_term, qparam)
-    if qparam == INFINITY:
-        at_most = lambda i, m, bound: term(i, m) <= bound
-    else:
-        at_most = partial(_bonferroni_at_most, qparam)
-    return _decompose(n, d, qparam, term, at_most)
+    fit = _binomial_fit if qparam == INFINITY else partial(_rho_upto, qparam)
+    return _decompose(n, d, qparam, fit)
 
 
 def recompose(coeffs, d: int | None = None, qparam=None) -> int:

@@ -268,14 +268,6 @@ def e_bar_lex_column(params: CodeParams, cap: int = DEFAULT_TUPLE_CAP) -> tuple:
     return tuple(sum(map(operator.mul, mu, places)) for mu in tuples)
 
 
-def e_bar_lex(params: CodeParams, r: int, cap: int = DEFAULT_TUPLE_CAP) -> int:
-    """Reference e_bar at rank r: entry r-1 of `e_bar_lex_column`."""
-    column = e_bar_lex_column(params, cap)
-    if not 1 <= r <= len(column):
-        raise ValueError(f"r must be in [1, {len(column)}]")
-    return column[r - 1]
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Evaluations of all reduced monomials of degree <= d at every affine point.

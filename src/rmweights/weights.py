@@ -61,10 +61,10 @@ def e_bar(params: CodeParams, r: int) -> int:
 def e_bars(params: CodeParams):
     """Yield e_bar(params, r) for r = 1, ..., rho_q(d, m), in that order.
 
-    The same greedy as `e_bar`, rank by rank, but its probes compare
-    values from a memo of rho created by this call: the ranks of one
-    code probe the same few (i, m_i) pairs over and over, so exact
-    values beat the partial sums of `decompose`.  Each rank decomposes
+    The same greedy as `e_bar`, rank by rank, but its probes read a
+    memo of rho created by this call: the ranks of one code probe the
+    same few (i, m_i) pairs over and over, so exact values beat the
+    partial sums of `decompose`.  Each rank decomposes
     n = k - r < k = rho_q(d, m), and rho_q(d, .) increases, so m_d is
     bounded by m - 1: the greedy probes m - 1 and gallops down from it,
     with no doubling, and every lower coefficient likewise from its own
@@ -75,13 +75,14 @@ def e_bars(params: CodeParams):
     q, d, m = params.q, params.d, params.m
     term = cache(lambda i, c: rho(q, i, c))
 
-    def at_most(i, c, bound):
-        return term(i, c) <= bound
+    def fit(i, c, bound):
+        value = term(i, c)
+        return value if value <= bound else None
 
     powers = [q**c for c in range(m)] + [0]  # q^c for every m_i, and 0 at m_i = -1
     k = params.dimension
     for r in range(1, k + 1):
-        rep = _decompose(k - r, d, q, term, at_most, m - 1)
+        rep = _decompose(k - r, d, q, fit, m - 1)
         yield sum(map(powers.__getitem__, rep.coeffs))
 
 

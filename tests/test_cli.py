@@ -200,6 +200,24 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["weights"] == ["4", "6", "7", "8"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--q", "6", "--d", "1", "--m", "2"],
+        ["table", "--q", "2..x", "--m", "2"],
+        ["verify", "--q", "2", "--d", "1", "--m", "3", "--oracle", "lex", "--cap", "3"],
+    ],
+    ids=["dim", "table", "verify"],
+)
+def test_failing_command_leaves_out_file_as_it_was(tmp_path, capsys, argv):
+    target = tmp_path / "previous.txt"
+    target.write_text("earlier output\n")
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert target.read_text() == "earlier output\n"
+
+
 def test_out_failure_is_reported(capsys):
     code, _, err = run(
         capsys, "dim", "--q", "2", "--d", "1", "--m", "1", "--out", "/nonexistent/x"

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmweights.dims import CodeParams, _rho_at_most, rho
+from rmweights.dims import CodeParams, _rho_upto, rho
 from rmweights.macaulay import (
     INFINITY,
     MacaulayRep,
+    _binomial_fit,
     _decompose,
     compare,
     decompose,
@@ -39,6 +40,8 @@ def test_decompose_examples():
     assert decompose(25, 3, 2).coeffs == (4, 3, 2)
     with pytest.raises(TypeError):
         decompose(2.5, 1, 2)  # not silently the representation of 2
+    with pytest.raises(TypeError, match="integers"):
+        decompose(5, 2.0, 2)
     with pytest.raises(ValueError):
         decompose(-1, 1, 2)
 
@@ -76,6 +79,9 @@ def test_validate_examples():
     assert validate((-1, -1), 2, 3)
     with pytest.raises(ValueError):
         validate((2, 1), 3, 2)
+    for coeffs, d in (((1.5, 0), 2), ((1, 0), 2.0)):  # not a valid-looking True
+        with pytest.raises(TypeError, match="integers"):
+            validate(coeffs, d, 2)
 
 
 def test_validate_spacing_window():
@@ -95,6 +101,8 @@ def test_rep_constructor_checks():
         MacaulayRep(qparam=2, d=3, coeffs=(2, 0, 0))  # spacing fails
     with pytest.raises(ValueError):
         MacaulayRep(qparam=4, d=3, coeffs=(2, 0))  # length mismatch
+    with pytest.raises(TypeError, match="integers"):
+        MacaulayRep(qparam=INFINITY, d=2, coeffs=(0.5, 0))
     # a list is stored as a tuple, so the representation hashes and orders
     listed = MacaulayRep(qparam=4, d=3, coeffs=[2, 0, 0])
     assert listed == decompose(12, 3, 4)
@@ -163,11 +171,9 @@ def test_decompose_matches_the_full_evaluation_greedy():
             assert decompose(n, d, q).coeffs == _reference_decompose(n, d, q), (q, d, n)
 
 
-def _at_most(q):
-    """The probe comparison that `decompose` makes, with checked arguments."""
-    if q == INFINITY:
-        return lambda i, m, bound: dim_term(q, i, m) <= bound
-    return partial(_rho_at_most, q)
+def _fit(q):
+    """The probe that `decompose` makes: the summand if it is <= bound, else None."""
+    return _binomial_fit if q == INFINITY else partial(_rho_upto, q)
 
 
 def _gallop_edge_tuples(q):
@@ -196,12 +202,12 @@ def test_greedy_probes_grow_with_the_log_of_each_gap(q):
     for t in _gallop_edge_tuples(q):
         d, probes, highest = len(t), Counter(), {}
 
-        def at_most(i, m, bound, compare=_at_most(q)):
+        def fit(i, m, bound, probe=_fit(q)):
             probes[i] += 1
             highest[i] = max(m, highest.get(i, m))
-            return compare(i, m, bound)
+            return probe(i, m, bound)
 
-        rep = _decompose(recompose(t, d, q), d, q, partial(dim_term, q), at_most)
+        rep = _decompose(recompose(t, d, q), d, q, fit)
         assert rep.coeffs == t
         assert probes[1] == 0, t  # m_1 is the remainder minus one
         for i in range(2, d):  # t[d - i] is m_i, and t[d - i - 1] the one above
@@ -217,7 +223,7 @@ def test_greedy_probes_grow_with_the_log_of_each_gap(q):
 def test_greedy_raises_when_its_top_bound_is_too_low(q):
     # 10^6 needs m_3 far above 3; the capped terms leave most of it
     with pytest.raises(AssertionError, match="leave"):
-        _decompose(10**6, 3, q, partial(dim_term, q), _at_most(q), 3)
+        _decompose(10**6, 3, q, _fit(q), 3)
 
 
 def _code_of_dimension(q, d, target):

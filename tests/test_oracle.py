@@ -15,7 +15,6 @@ from rmweights.oracle import (
     build_field,
     check_matrix_caps,
     count_reduced_monomials,
-    e_bar_lex,
     e_bar_lex_column,
     enumerate_tuples,
     gaussian_binomial,
@@ -177,13 +176,12 @@ def test_enumerate_tuples_order():
 
 
 def test_e_bar_lex_examples():
-    assert e_bar_lex(CodeParams(4, 3, 3), 8) == 18
-    p = CodeParams(2, 3, 5)
-    assert e_bar_lex(p, 10) == 17
-    assert e_bar_lex(p, 1) == 28
-    assert e_bar_lex(p, 26) == 0
-    with pytest.raises(ValueError, match=r"r must be in \[1, 26\]"):
-        e_bar_lex(p, 27)
+    assert e_bar_lex_column(CodeParams(4, 3, 3))[8 - 1] == 18
+    column = e_bar_lex_column(CodeParams(2, 3, 5))
+    assert column[10 - 1] == 17
+    assert column[1 - 1] == 28
+    assert column[26 - 1] == 0
+    assert len(column) == 26  # no rank 27
 
 
 def test_e_bar_lex_column_examples():
@@ -345,6 +343,7 @@ def test_min_subspace_support_guards():
 def test_oracles_agree_with_each_other():
     # lex ranking and exhaustive search are independent routes
     for p in (CodeParams(2, 2, 2), CodeParams(3, 1, 2)):
+        column = e_bar_lex_column(p)
         for r in range(1, min(p.dimension, 3) + 1):
-            assert min_subspace_support(p, r) == p.length - e_bar_lex(p, r)
+            assert min_subspace_support(p, r) == p.length - column[r - 1]
             assert ghw(p, r) == min_subspace_support(p, r)

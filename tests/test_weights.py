@@ -5,7 +5,7 @@ from bisect import bisect_right
 
 import pytest
 
-from rmweights.dims import CodeParams, dimension_rows, rho
+from rmweights.dims import CodeParams, _rho_upto, dimension_rows, rho
 from rmweights.macaulay import INFINITY, MacaulayRep, decompose
 from rmweights.oracle import e_bar_lex_column, enumerate_tuples
 from rmweights.weights import (
@@ -55,21 +55,40 @@ def test_r_out_of_range():
             ghw(CodeParams(4, 3, 3), r)
 
 
-def test_ghw_evaluates_rho_once_per_coefficient(monkeypatch):
-    # the greedy's probes compare on partial sums of rho; exact values
-    # are k and one summand per coefficient
+GREEDY_CODES = [CodeParams(2, 3, 5), CodeParams(5, 2, 4), CodeParams(2, 40, 600), CodeParams(9, 30, 25)]
+
+
+def _greedy_ranks(p):
+    return (1, 2, p.dimension // 3, p.dimension - 1, p.dimension)
+
+
+def test_ghw_calls_rho_once(monkeypatch):
+    # k is the only exact rho; every summand comes from the probes
     calls = []
-    for name in ("rmweights.dims.rho", "rmweights.macaulay.rho"):
+    for name in ("rmweights.dims.rho", "rmweights.macaulay.rho", "rmweights.weights.rho"):
         monkeypatch.setattr(name, lambda *args: calls.append(args) or rho(*args))
-    codes = [CodeParams(2, 3, 5), CodeParams(5, 2, 4), CodeParams(2, 40, 600), CodeParams(9, 30, 25)]
-    for p in codes:
-        for r in (1, 2, p.dimension // 3, p.dimension - 1, p.dimension):
+    for p in GREEDY_CODES:
+        for r in _greedy_ranks(p):
             calls.clear()
             ghw(p, r)
-            assert 1 <= len(calls) <= p.d + 1, (p, r)
-            if r == 1:
-                # rank 1's digit tuple sums to d, so no coefficient is -1
-                assert len(calls) == p.d + 1, p
+            assert calls == [(p.q, p.d, p.m)], (p, r)
+
+
+def test_decompose_probes_each_summand_once(monkeypatch):
+    # the greedy keeps the value of its last probe that fit, so no
+    # (degree, coefficient) pair is evaluated twice in one call
+    probes = []
+    monkeypatch.setattr(
+        "rmweights.macaulay._rho_upto",
+        lambda q, i, m, bound: probes.append((i, m)) or _rho_upto(q, i, m, bound),
+    )
+    for p in GREEDY_CODES:
+        for r in _greedy_ranks(p):
+            probes.clear()
+            ghw(p, r)
+            assert len(set(probes)) == len(probes), (p, r)
+            if r < p.dimension:
+                assert probes, (p, r)
 
 
 def test_hierarchy_examples():
