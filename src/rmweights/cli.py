@@ -132,14 +132,14 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_table(args) -> int:
-    # parse every range and test every q first, so bad input is rejected
-    # before the header
+    # parse every range, test every q and cap every code first, so bad
+    # input is rejected before the header
     q_range = _parse_range(args.q)
     m_range = _parse_range(args.m)
     d_range = _parse_range(args.d) if args.d is not None else None
     qs = [q for q in q_range if is_prime_power(q)]  # a range like 5..7 skips q = 6
 
-    def rows():
+    def codes():
         for q in qs:
             for m in m_range:
                 if m < 1:
@@ -149,9 +149,15 @@ def cmd_table(args) -> int:
                     d for d in d_range if 1 <= d <= d_max
                 )
                 for d in ds:
-                    h = weights.hierarchy(CodeParams(q, d, m))
-                    for r, w in enumerate(h, start=1):
-                        yield q, d, m, r, w
+                    yield CodeParams(q, d, m)
+
+    for params in codes():
+        weights.check_hierarchy_cap(params)
+
+    def rows():
+        for params in codes():
+            for r, w in enumerate(weights.hierarchy(params), start=1):
+                yield params.q, params.d, params.m, r, w
 
     _emit(args.out, "csv", doc=None, header="q,d,m,r,d_r", rows=rows(), lines=())
     return 0

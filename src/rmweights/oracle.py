@@ -8,7 +8,9 @@ Three oracles, each deliberately naive:
   actual generator matrices over small fields,
 * exhaustive minimum-support search over all r-dimensional subspaces of
   the message space, enumerated once each via reduced-row-echelon
-  canonical bases.
+  canonical bases whose free entries are walked in Gray order, so each
+  subspace after the first of its pivot columns re-encodes one row by
+  one scaled generator row.
 
 Naive means every tuple and every subspace is visited, and none of the
 closed forms is called; the per-element work runs in C where it can
@@ -392,50 +394,82 @@ def _count_subspaces(k: int, r: int, q: int, cap: int) -> int:
     )
 
 
+def _gray_steps(q: int, n: int):
+    """Walk {0..q-1}^n from all zeros in reflected q-ary Gray order, the
+    last digit fastest, yielding (position, old, new) for each of the
+    q^n - 1 steps: each step moves one digit by +-1, and every tuple is
+    reached exactly once.  At step t the digit that moves sits as many
+    places from the end as t has trailing zeros in base q; a digit
+    reverses its direction at 0 and q - 1."""
+    digits, step = [0] * n, [1] * n
+    for t in range(1, q**n):
+        pos = n - 1
+        while not t % q:
+            t //= q
+            pos -= 1
+        old = digits[pos]
+        digits[pos] = new = old + step[pos]
+        if new == 0 or new == q - 1:
+            step[pos] = -step[pos]
+        yield pos, old, new
+
+
 def min_subspace_support(
     params: CodeParams, r: int, cap: int = DEFAULT_SUBSPACE_CAP
 ) -> int:
     """Exhaustive r-th generalized Hamming weight of RM(d, m).
 
-    Enumerates every r-dimensional subspace of the message space,
-    encodes its canonical basis through the generator matrix, and takes
-    the minimum number of coordinates where some basis codeword is
-    nonzero.  `_rref_bases` varies the last row fastest, so the support
-    of the leading r - 1 rows is kept as one int and encoded again only
-    when those rows differ from the previous basis' (one tuple compare);
-    a basis that shares them encodes its last row alone.  Ground truth
-    by definition; only viable at desk scale.
+    Enumerates every r-dimensional subspace of the message space through
+    its reduced-row-echelon basis, encodes the basis through the
+    generator matrix, and takes the minimum number of coordinates where
+    some basis codeword is nonzero.  For each choice of pivot columns
+    the free entries (right of a row's pivot, outside the pivot columns)
+    run through every field value in Gray order (`_gray_steps`, the last
+    row's last free column fastest), so consecutive bases differ in one
+    entry (i, j): row i's codeword gains (new - old) * g_j, one scale,
+    one add and one translate to its support int.  The union of the
+    leading r - 1 supports is recomputed only when one of those rows
+    changes.  Ground truth by definition; only viable at desk scale.
     """
     if not isinstance(r, int):
         raise TypeError("r must be an integer")
     k = params.dimension
     if not 1 <= r <= k:
         raise ValueError(f"r must be in [1, {k}]")
-    n_subspaces = _count_subspaces(k, r, params.q, cap)
+    q = params.q
+    n_subspaces = _count_subspaces(k, r, q, cap)
 
     gen = rm_generator_matrix(params)
-    field, n = gen.field, params.length
+    field, g = gen.field, gen.rows
+    vadd, vscale, from_bytes = field.vadd, field.vscale, int.from_bytes
     nonzero = bytes([0]) + bytes([1]) * 255  # translate: element -> 1 if nonzero
+    # diff[new][old] = new - old in GF(q)
+    diff = [[field.add(b, field.neg(a)) for a in range(q)] for b in range(q)]
 
-    def support(vector) -> int:
-        """One set bit per coordinate where vector's codeword is nonzero."""
-        terms = (row if v == 1 else field.vscale(v, row)
-                 for v, row in zip(vector, gen.rows) if v)
-        cw = functools.reduce(field.vadd, terms)  # a basis row is never 0
-        return int.from_bytes(cw.translate(nonzero), "big")
-
-    best = n + 1
+    best = params.length + 1
     seen = 0
-    head, head_union = None, 0  # the leading rows and their support
-    for basis in _rref_bases(k, r, params.q):
-        if basis[:-1] != head:
-            head, head_union = basis[:-1], 0
-            for vector in head:
-                head_union |= support(vector)
-        count = (head_union | support(basis[-1])).bit_count()
-        if count < best:
-            best = count
+    last = r - 1
+    for pivots in itertools.combinations(range(k), r):
+        pivot_set = set(pivots)
+        # each free entry (i, j) as row i and the generator row g_j
+        free = [(i, g[j]) for i in range(r) for j in range(pivots[i] + 1, k) if j not in pivot_set]
+        # every free entry starts at 0, so row i encodes to g_(pivot i)
+        rows = [g[p] for p in pivots]
+        supports = [from_bytes(cw.translate(nonzero), "big") for cw in rows]
+        head = functools.reduce(operator.or_, supports[:last], 0)
+        best = min(best, (head | supports[last]).bit_count())
         seen += 1
+        for pos, old, new in _gray_steps(q, len(free)):
+            i, gj = free[pos]
+            c = diff[new][old]
+            rows[i] = cw = vadd(rows[i], gj if c == 1 else vscale(c, gj))
+            supports[i] = from_bytes(cw.translate(nonzero), "big")
+            if i != last:
+                head = functools.reduce(operator.or_, supports[:last], 0)
+            count = (head | supports[last]).bit_count()
+            if count < best:
+                best = count
+            seen += 1
     if seen != n_subspaces:
-        raise AssertionError(f"scanned {seen} subspaces, not [{k}, {r}]_{params.q} = {n_subspaces}")
+        raise AssertionError(f"scanned {seen} subspaces, not [{k}, {r}]_{q} = {n_subspaces}")
     return best

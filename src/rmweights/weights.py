@@ -23,6 +23,10 @@ from itertools import pairwise
 from .dims import CodeParams, rho
 from .macaulay import INFINITY, MacaulayRep, _decompose, decompose
 
+# weights that `hierarchy` lists at most: its walk holds about 60 bytes a
+# weight, so a capped hierarchy stays near 300 MB
+MAX_WEIGHTS = 5 * 10**6
+
 
 def coeffs_to_mu(rep: MacaulayRep, m: int) -> tuple[int, ...]:
     """Digit tuple (mu_1, ..., mu_m) with mu_i = #{coefficients equal to m-i}.
@@ -146,9 +150,20 @@ def _weights(q: int, d: int, m: int) -> list[int]:
     return tails[d]
 
 
+def check_hierarchy_cap(params: CodeParams) -> None:
+    """Raise ValueError if the hierarchy of `params` has more weights
+    (rho_q(d, m)) than MAX_WEIGHTS."""
+    if (k := params.dimension) > MAX_WEIGHTS:
+        raise ValueError(
+            f"{k} weights exceed the hierarchy cap {MAX_WEIGHTS}; use ghw for single ranks"
+        )
+
+
 def hierarchy(params: CodeParams) -> WeightHierarchy:
     """Compute d_r for every r = 1, ..., rho_q(d, m) in one walk over
-    the digit tuples (`_weights`), with no Macaulay greedy per rank."""
+    the digit tuples (`_weights`), with no Macaulay greedy per rank.
+    A code with more than MAX_WEIGHTS weights is refused before the walk."""
+    check_hierarchy_cap(params)
     return WeightHierarchy(params, tuple(_weights(params.q, params.d, params.m)))
 
 

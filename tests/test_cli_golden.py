@@ -181,6 +181,11 @@ r,d_r
         id="hierarchy-csv",
     ),
     pytest.param(
+        "hierarchy --q 2 --d 20 --m 40", 2, "",
+        "error: 618679078298 weights exceed the hierarchy cap 5000000; use ghw for single ranks\n",
+        id="hierarchy-over-cap",
+    ),
+    pytest.param(
         "verify --q 2 --d 1 --m 3 --oracle lex --format plain", 0, "PASS (4 ranks checked)\n", "",
         id="verify-lex-plain",
     ),
@@ -311,6 +316,12 @@ q,d,m,r,d_r
     pytest.param(
         "table --q 2 --m 3..1", 2, "", "error: empty range '3..1'\n",
         id="table-bad-range",
+    ),
+    pytest.param(
+        # (2, 20, m) fits the cap up to m = 22; every code is checked before the header
+        "table --q 2 --m 1..40 --d 20", 2, "",
+        "error: 8388331 weights exceed the hierarchy cap 5000000; use ghw for single ranks\n",
+        id="table-over-cap",
     ),
 ]
 

@@ -278,6 +278,44 @@ def test_subspace_enumeration_counts():
         assert len(set(bases)) == len(bases)
 
 
+@pytest.mark.parametrize("q, n", [(2, 0), (5, 0), (2, 1), (2, 6), (3, 4), (4, 3), (7, 2), (16, 2)])
+def test_gray_steps_visit_every_tuple_once(q, n):
+    from rmweights.oracle import _gray_steps
+
+    digits = [0] * n
+    visited = [tuple(digits)]
+    for pos, old, new in _gray_steps(q, n):
+        assert digits[pos] == old and abs(new - old) == 1 and 0 <= new < q
+        digits[pos] = new
+        visited.append(tuple(digits))
+    assert len(visited) == q**n
+    assert sorted(visited) == list(itertools.product(range(q), repeat=n))
+    if n:  # the last digit runs first
+        assert visited[q - 1] == (0,) * (n - 1) + (q - 1,)
+
+
+def test_gray_walk_lists_every_rref_basis():
+    # replay the scan's walk on the basis entries: per pivot set, the free
+    # entries in row order, each step setting one of them from old to new
+    from rmweights.oracle import _gray_steps, _rref_bases
+
+    for k, r, q in ((4, 2, 2), (3, 1, 3), (4, 2, 3), (5, 3, 2), (2, 2, 4)):
+        bases = []
+        for pivots in itertools.combinations(range(k), r):
+            free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, k) if j not in pivots]
+            B = [bytearray(k) for _ in range(r)]
+            for i, p in enumerate(pivots):
+                B[i][p] = 1
+            bases.append(tuple(map(bytes, B)))
+            for pos, old, new in _gray_steps(q, len(free)):
+                i, j = free[pos]
+                assert B[i][j] == old
+                B[i][j] = new
+                bases.append(tuple(map(bytes, B)))
+        assert len(bases) == gaussian_binomial(k, r, q)
+        assert set(bases) == set(_rref_bases(k, r, q))
+
+
 def test_min_subspace_support_matches_hierarchy():
     p = CodeParams(2, 1, 3)
     h = hierarchy(p)
@@ -324,6 +362,33 @@ def test_min_subspace_support_matches_the_per_basis_loop(q, d, m):
     p = CodeParams(q, d, m)
     for r in ranks_under_cap(p.dimension, q, 2000):
         assert min_subspace_support(p, r) == _per_basis_min_support(p, r), (p, r)
+
+
+@pytest.mark.parametrize("q, d, m", [(2, 2, 3), (2, 1, 4), (3, 2, 2), (4, 1, 2), (8, 1, 1)])
+def test_min_subspace_support_matches_the_per_basis_loop_on_random_matrices(q, d, m, monkeypatch):
+    # random matrices in place of the generator matrix, so a minimum need
+    # not sit at a basis whose leading rows have all free entries 0: the
+    # scan must carry the leading rows' support along the walk.  The last
+    # row is (q - 1) times the one before off coordinate 0, so at rank 1 the
+    # least support needs the coefficient -1/(q - 1) there, not 0 or 1
+    import random
+
+    from rmweights import oracle
+
+    p = CodeParams(q, d, m)
+    field = build_field(q)
+    rng = random.Random(f"{q},{d},{m}")
+    for _ in range(3):
+        rows = [
+            bytes(rng.randrange(1, q) if rng.random() < 0.5 else 0 for _ in range(p.length))
+            for _ in range(p.dimension - 1)
+        ]
+        rows.append(b"\1" + field.vscale(q - 1, rows[-1])[1:])
+        gen = GeneratorMatrix(field, tuple(rows), ())
+        monkeypatch.setattr(oracle, "rm_generator_matrix", lambda params: gen)
+        monkeypatch.setitem(globals(), "rm_generator_matrix", lambda params: gen)
+        for r in ranks_under_cap(p.dimension, q, 3000):
+            assert min_subspace_support(p, r) == _per_basis_min_support(p, r), (p, r, rows)
 
 
 def test_min_subspace_support_rejects_a_non_integer_rank():

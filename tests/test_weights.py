@@ -295,6 +295,16 @@ def test_hierarchy_peak_memory_stays_near_its_result():
     assert peak <= 2.5 * size
 
 
+def test_hierarchy_refuses_codes_over_the_weight_cap_before_the_walk(monkeypatch):
+    p = CodeParams(2, 2, 4)  # k = 11
+    monkeypatch.setattr("rmweights.weights.MAX_WEIGHTS", 11)
+    assert len(hierarchy(p)) == 11
+    monkeypatch.setattr("rmweights.weights.MAX_WEIGHTS", 10)
+    monkeypatch.setattr("rmweights.weights._weights", lambda *args: pytest.fail("walked"))
+    with pytest.raises(ValueError, match="^11 weights exceed the hierarchy cap 10; use ghw"):
+        hierarchy(p)
+
+
 def test_e_bars_holds_no_state_across_calls(monkeypatch):
     for q in (2, 3, 4, 5, 7, 8, 9):
         m = 1
