@@ -3,7 +3,8 @@
 Subcommands: dim, macaulay, ghw, hierarchy, table, verify.  Exit codes:
 0 success, 1 verification mismatch, 2 usage or validation error.  Big
 numbers are serialized as decimal strings in JSON output so nothing is
-ever squeezed through a double.
+ever squeezed through a double, and results print in full whatever
+Python's int -> str digit limit (`_emit`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from contextlib import nullcontext
 from dataclasses import asdict
 
 from . import oracle, weights
-from .dims import CodeParams, is_prime_power, rho, rho_binomial, rho_recursive
+from .dims import CodeParams, _digit_limit, is_prime_power, rho, rho_binomial, rho_recursive
 from .macaulay import INFINITY, decompose
 
 
@@ -50,19 +51,29 @@ def _emit(path, fmt, doc, header, rows, lines) -> None:
     command that fails before it leaves an existing file as it was.
     json prints the document built by the zero-argument callable `doc`;
     csv prints `header` and then each row joined by commas, with bools
-    as true/false; plain prints each of `lines`.  `rows` and `lines` may
-    be generators, so no format builds another format's output."""
-    with nullcontext(sys.stdout) if path is None else open(path, "w") as out:
-        if fmt == "json":
-            print(json.dumps(doc(), indent=2), file=out)
-        elif fmt == "csv":
-            print(header, file=out)
-            for row in rows:
-                cells = (str(v).lower() if isinstance(v, bool) else str(v) for v in row)
-                print(",".join(cells), file=out)
-        else:
-            for line in lines:
-                print(line, file=out)
+    as true/false; plain prints each line that the zero-argument
+    callable `lines` returns.  `rows` may be a generator, so no format
+    builds another format's output.  Numbers are formatted only here,
+    with Python's int -> str digit limit lifted, so a result prints in
+    full at any size; the caller's limit is restored on the way out."""
+    limit = _digit_limit()  # 0: no limit, as before Python 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        with nullcontext(sys.stdout) if path is None else open(path, "w") as out:
+            if fmt == "json":
+                print(json.dumps(doc(), indent=2), file=out)
+            elif fmt == "csv":
+                print(header, file=out)
+                for row in rows:
+                    cells = (str(v).lower() if isinstance(v, bool) else str(v) for v in row)
+                    print(",".join(cells), file=out)
+            else:
+                for line in lines():
+                    print(line, file=out)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def cmd_dim(args) -> int:
@@ -72,7 +83,7 @@ def cmd_dim(args) -> int:
         args.out, args.format,
         doc=lambda: {"params": asdict(params), "rho": str(value)},
         header="q,d,m,rho", rows=[(params.q, params.d, params.m, value)],
-        lines=[value],
+        lines=lambda: [value],
     )
     return 0
 
@@ -92,7 +103,7 @@ def cmd_macaulay(args) -> int:
             "n": str(rep.n),
         },
         header="degree,coefficient,term", rows=zip(range(rep.d, 0, -1), rep.coeffs, terms),
-        lines=["(" + ", ".join(str(c) for c in rep.coeffs) + ")"],
+        lines=lambda: ["(" + ", ".join(str(c) for c in rep.coeffs) + ")"],
     )
     return 0
 
@@ -110,7 +121,7 @@ def cmd_ghw(args) -> int:
             "d_r": str(dr),
         },
         header="q,d,m,r,e_bar,d_r", rows=[(params.q, params.d, params.m, args.r, eb, dr)],
-        lines=[f"d_r = {dr} (e_bar = {eb})"],
+        lines=lambda: [f"d_r = {dr} (e_bar = {eb})"],
     )
     return 0
 
@@ -126,7 +137,7 @@ def cmd_hierarchy(args) -> int:
             "weights": [str(w) for w in h],
         },
         header="r,d_r", rows=enumerate(h, start=1),
-        lines=(" ".join(str(w) for w in ws) for ws in [h]),
+        lines=lambda: [" ".join(str(w) for w in h)],
     )
     return 0
 
@@ -159,7 +170,7 @@ def cmd_table(args) -> int:
             for r, w in enumerate(weights.hierarchy(params), start=1):
                 yield params.q, params.d, params.m, r, w
 
-    _emit(args.out, "csv", doc=None, header="q,d,m,r,d_r", rows=rows(), lines=())
+    _emit(args.out, "csv", doc=None, header="q,d,m,r,d_r", rows=rows(), lines=None)
     return 0
 
 
@@ -195,7 +206,7 @@ def _verify_lex(params: CodeParams, args) -> bool:
             ],
         },
         header="r,e_bar,oracle,match", rows=((r, a, b, a == w == b) for r, a, w, b in rows),
-        lines=lines(),
+        lines=lines,
     )
     return not mismatches
 
@@ -233,7 +244,7 @@ def _verify_exhaustive(params: CodeParams, args) -> bool:
             ],
         },
         header="r,formula,exhaustive,match", rows=((s, a, b, a == b) for s, a, b in rows),
-        lines=lines(),
+        lines=lines,
     )
     return not mismatches
 
@@ -251,10 +262,12 @@ def _verify_dims(params: CodeParams, args) -> bool:
     if d <= q - 1:
         values["binomial"] = rho_binomial(q, d, m)
     agreed = len(set(values.values())) == 1
-    if agreed:
-        lines = [f"PASS rho = {values['formula']} by {len(values)} methods"]
-    else:
-        lines = [*(f"{name} = {v}" for name, v in values.items()), "FAIL (methods disagree)"]
+
+    def lines():
+        if agreed:
+            return [f"PASS rho = {values['formula']} by {len(values)} methods"]
+        return [*(f"{name} = {v}" for name, v in values.items()), "FAIL (methods disagree)"]
+
     _emit(
         args.out, args.format,
         doc=lambda: {

@@ -8,12 +8,14 @@ cross-check each other.  The formula has one kernel, `_rho_upto`, which
 returns rho only up to a bound and gives up early above it; `rho` calls
 it with no bound (math.inf, only ever compared), and the Macaulay greedy
 probes with it directly.  Everything else is unbounded-integer
-arithmetic; no floats.
+arithmetic; no floats.  Error messages across the package name an
+integer past Python's int -> str digit limit symbolically (`_decimal_or`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -74,19 +76,19 @@ def _rho_upto(q: int, d: int, m: int, bound: int | float) -> int | None:
     """rho(q, d, m) if it is <= bound, else None, for arguments that the
     caller has checked.
 
-    0 for d < 0 or m = -1, 1 for m = 0 and q^m for d > m(q-1), where
-    every further degree term counts zero tuples; otherwise the
-    hockey-stick sum: j variables forced to exponent >= q, the degree
-    left spread over m variables and a slack.  Truncated after an odd
-    term j, an inclusion-exclusion sum is <= its value (the Bonferroni
-    inequalities), so an odd partial sum above the bound answers None
-    at once, and a value <= bound takes the whole sum.
+    0 for d < 0 or m = -1, 1 for m = 0 and q^m for d >= m(q-1), where
+    every tuple counts; otherwise the hockey-stick sum: j variables
+    forced to exponent >= q, the degree left spread over m variables and
+    a slack.  Truncated after an odd term j, an inclusion-exclusion sum
+    is <= its value (the Bonferroni inequalities), so an odd partial sum
+    above the bound answers None at once, and a value <= bound takes the
+    whole sum.
     """
     if d < 0 or m == -1:
         value = 0
     elif m == 0:
         value = 1
-    elif d > m * (q - 1):
+    elif d >= m * (q - 1):
         value = q**m
     else:
         comb = math.comb
@@ -100,6 +102,18 @@ def _rho_upto(q: int, d: int, m: int, bound: int | float) -> int | None:
             else:
                 value += term
     return value if value <= bound else None
+
+
+def _digit_limit() -> int:
+    """The int -> str digit limit of Python 3.10.7+; 0 is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _decimal_or(n: int, fallback: str) -> int | str:
+    """n for an error message, or `fallback` where n has more digits than
+    int -> str conversion allows."""
+    limit = _digit_limit()
+    return n if not limit or n < 10**limit else fallback
 
 
 def rho_binomial(q: int, d: int, m: int) -> int:

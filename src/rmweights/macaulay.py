@@ -17,7 +17,9 @@ needs no search, as every degree-1 summand is m_1 + 1.  For finite q,
 `decompose` probes with `dims._rho_upto`, which gives up on the first
 partial sum of rho's inclusion-exclusion formula past the bound; a
 caller that decomposes many integers with one q can instead probe a
-memo of the summands (`weights.e_bars`).
+memo of the summands (`weights.e_bars`).  The greedy returns the bare
+coefficient tuple; `decompose` is the one place that wraps it in a
+`MacaulayRep`, whose constructor validates it.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def _greedy_coefficient(fit, i: int, remainder: int, hi: int | None) -> tuple[in
     return lo, lo_value
 
 
-def _decompose(n: int, d: int, qparam, fit, top: int | None = None) -> MacaulayRep:
+def _decompose(n: int, d: int, qparam, fit, top: int | None = None) -> tuple[int, ...]:
     """The greedy of `decompose`, probing through fit(i, m, bound), which
     returns the degree-i summand at m if it is <= bound and None
     otherwise; `top`, if given, must bound m_d from above.
@@ -157,7 +159,8 @@ def _decompose(n: int, d: int, qparam, fit, top: int | None = None) -> MacaulayR
     condition).  Since every degree-1 summand is m + 1, m_1 needs no
     search, and once the remainder is 0 every lower coefficient is -1.
     The terms must add up to n, which fails only if `top` is too low;
-    by uniqueness the result is then the representation of n.
+    by uniqueness the result, a bare tuple (m_d, ..., m_1), is then
+    the representation of n, which `decompose` wraps and checks.
     """
     coeffs, remainder, hi = [], n, top
     run, spacing = 0, qparam - 1  # run: how many coefficients in a row equal hi
@@ -177,8 +180,7 @@ def _decompose(n: int, d: int, qparam, fit, top: int | None = None) -> MacaulayR
         coeffs.append(c)
         if remainder:
             raise AssertionError(f"the terms of {tuple(coeffs)} leave {remainder} of n = {n}")
-    coeffs += [-1] * (d - len(coeffs))
-    return MacaulayRep(qparam, d, tuple(coeffs))
+    return tuple(coeffs) + (-1,) * (d - len(coeffs))
 
 
 def _binomial_fit(i: int, m: int, bound: int) -> int | None:
@@ -208,7 +210,7 @@ def decompose(n: int, d: int, qparam) -> MacaulayRep:
     if n < 0:
         raise ValueError("n must be >= 0")
     fit = _binomial_fit if qparam == INFINITY else partial(_rho_upto, qparam)
-    return _decompose(n, d, qparam, fit)
+    return MacaulayRep(qparam, d, _decompose(n, d, qparam, fit))
 
 
 def recompose(coeffs, d: int | None = None, qparam=None) -> int:

@@ -30,7 +30,7 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from .dims import CodeParams, _smallest_prime_factor
+from .dims import CodeParams, _decimal_or, _smallest_prime_factor
 
 DEFAULT_TUPLE_CAP = 10**8
 DEFAULT_SUBSPACE_CAP = 10**7
@@ -200,18 +200,6 @@ def ranks_under_cap(k: int, q: int, cap: int) -> list:
 
 # the int -> str digit limit that Python starts with (4300 since 3.10.7)
 _DEFAULT_DIGIT_LIMIT = getattr(sys.int_info, "default_max_str_digits", 4300)
-
-
-def _digit_limit() -> int:
-    """The int -> str digit limit of Python 3.10.7+; 0 is none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def _decimal_or(n: int, fallback: str) -> int | str:
-    """n for a cap message, or `fallback` where n has more digits than
-    int -> str conversion allows."""
-    limit = _digit_limit()
-    return n if not limit or n < 10**limit else fallback
 
 
 def _check_enumeration_args(q: int, m: int, cap: int) -> None:
@@ -433,10 +421,10 @@ def min_subspace_support(
     """
     if not isinstance(r, int):
         raise TypeError("r must be an integer")
-    k = params.dimension
+    k, q = params.dimension, params.q
     if not 1 <= r <= k:
-        raise ValueError(f"r must be in [1, {k}]")
-    q = params.q
+        shown = _decimal_or(k, f"rho_{q}({params.d}, {params.m})")
+        raise ValueError(f"r must be in [1, {shown}]")
     n_subspaces = _count_subspaces(k, r, q, cap)
 
     gen = rm_generator_matrix(params)

@@ -5,8 +5,9 @@ rho_q(d, m) - r with respect to q: the maximum number of common zeros
 of r independent reduced polynomials is sum_i floor(q^(m_i)), where the
 floor just sends the m_i = -1 terms to zero, and the weight is q^m
 minus that.  `e_bar`, `ghw` and `mu_tuple` run that greedy for one
-rank; `e_bars` runs it for every rank of one code, with the rho values
-memoized for that call only.  `hierarchy` runs none: the
+rank, through the checked `decompose`; `e_bars` runs it for every rank
+of one code, with the rho values memoized for that call only, and reads
+the bare coefficient tuples.  `hierarchy` runs none: the
 representations of k-1, ..., 0 map to the digit tuples with digit sum
 <= d in descending lex order (Heijnen & Pellikaan, IEEE Trans. IT
 44(1), 1998), so it lists the whole hierarchy in one walk over those
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import pairwise
 
-from .dims import CodeParams, rho
+from .dims import CodeParams, _decimal_or, rho
 from .macaulay import INFINITY, MacaulayRep, _decompose, decompose
 
 # weights that `hierarchy` lists at most: its walk holds about 60 bytes a
@@ -50,7 +51,8 @@ def _rank_rep(params: CodeParams, r: int) -> MacaulayRep:
         raise TypeError("r must be an integer")
     k = params.dimension
     if not 1 <= r <= k:
-        raise ValueError(f"r must be in [1, {k}]")
+        shown = _decimal_or(k, f"rho_{params.q}({params.d}, {params.m})")
+        raise ValueError(f"r must be in [1, {shown}]")
     return decompose(k - r, params.d, params.q)
 
 
@@ -86,8 +88,7 @@ def e_bars(params: CodeParams):
     powers = [q**c for c in range(m)] + [0]  # q^c for every m_i, and 0 at m_i = -1
     k = params.dimension
     for r in range(1, k + 1):
-        rep = _decompose(k - r, d, q, fit, m - 1)
-        yield sum(map(powers.__getitem__, rep.coeffs))
+        yield sum(map(powers.__getitem__, _decompose(k - r, d, q, fit, m - 1)))
 
 
 def ghw(params: CodeParams, r: int) -> int:
@@ -154,8 +155,9 @@ def check_hierarchy_cap(params: CodeParams) -> None:
     """Raise ValueError if the hierarchy of `params` has more weights
     (rho_q(d, m)) than MAX_WEIGHTS."""
     if (k := params.dimension) > MAX_WEIGHTS:
+        shown = _decimal_or(k, f"rho_{params.q}({params.d}, {params.m})")
         raise ValueError(
-            f"{k} weights exceed the hierarchy cap {MAX_WEIGHTS}; use ghw for single ranks"
+            f"{shown} weights exceed the hierarchy cap {MAX_WEIGHTS}; use ghw for single ranks"
         )
 
 

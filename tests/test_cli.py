@@ -395,12 +395,70 @@ DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
 
 def _run_python(*args, timeout=60, **env):
     """Run a fresh interpreter on `args` that imports this checkout's
-    rmweights, with the environment variables `env` set on top."""
+    rmweights, with the environment variables `env` set on top.  Its
+    int -> str digit limit is Python's default, whatever the caller's
+    environment, unless `env` sets PYTHONINTMAXSTRDIGITS."""
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), **env}
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(path),
+        "PYTHONINTMAXSTRDIGITS": str(oracle._DEFAULT_DIGIT_LIMIT),
+        **env,
+    }
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def test_hierarchy_cap_names_a_dimension_too_long_for_decimal():
+    # k = 2^15000 has 4,516 digits, past the default limit; at d = m(q-1)
+    # rho is q^m with no sum, so the cap check comes at once
+    argv = ("--q", "2", "--d", "15000", "--m", "15000")
+    proc = _run_python("-m", "rmweights.cli", "hierarchy", *argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: rho_2(15000, 15000) weights exceed the hierarchy cap {weights.MAX_WEIGHTS};"
+        " use ghw for single ranks\n"
+    )
+
+
+@pytest.fixture
+def digit_limit():
+    """sys.set_int_max_str_digits, with the caller's limit restored after the test."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+GHW_PAST_THE_LIMIT = ("ghw", "--q", "2", "--d", "1", "--m", "20000", "--r", "1")
+
+
+def test_results_print_in_full_past_the_digit_limit(capsys, digit_limit):
+    # d_1 = e_bar(1) = 2^19999 for RM(1, 20000) over F_2: 6,021 digits
+    digit_limit(0)
+    half, full = str(2**19999), str(2**20000)
+    digit_limit(oracle._DEFAULT_DIGIT_LIMIT)
+    argv = (*GHW_PAST_THE_LIMIT, "--format")
+    assert run(capsys, *argv, "plain") == (0, f"d_r = {half} (e_bar = {half})\n", "")
+    code, out, err = run(capsys, *argv, "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "params": {"q": 2, "d": 1, "m": 20000}, "r": 1, "e_bar": half, "d_r": half,
+    }
+    assert run(capsys, *argv, "csv") == (0, f"q,d,m,r,e_bar,d_r\n2,1,20000,1,{half},{half}\n", "")
+    assert run(capsys, "dim", "--q", "2", "--d", "20000", "--m", "20000") == (0, f"{full}\n", "")
+
+
+def test_main_restores_the_callers_digit_limit(capsys, tmp_path, digit_limit):
+    digit_limit(5000)
+    assert run(capsys, *GHW_PAST_THE_LIMIT)[0] == 0
+    assert sys.get_int_max_str_digits() == 5000
+    # a file that cannot be opened fails inside the output step
+    code, out, err = run(capsys, *GHW_PAST_THE_LIMIT, "--out", str(tmp_path / "no" / "file"))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert sys.get_int_max_str_digits() == 5000
+    assert run(capsys, "ghw", "--q", "2", "--d", "1", "--m", "3", "--r", "5")[0] == 2
+    assert sys.get_int_max_str_digits() == 5000
 
 
 def test_self_checks_survive_python_O():

@@ -192,6 +192,16 @@ def test_saturation():
             assert rho(q, m * (q - 1), m) == q**m
 
 
+@pytest.mark.parametrize("q, m", [(2, 4000), (3, 7), (4, 5), (16, 3)])
+def test_rho_of_the_full_space_evaluates_no_binomial(monkeypatch, q, m):
+    # at d = m(q-1) every tuple counts, so rho is q^m without the sum
+    monkeypatch.setattr(math, "comb", lambda *args: pytest.fail("evaluated a binomial"))
+    d = m * (q - 1)
+    assert rho(q, d, m) == q**m
+    assert _rho_upto(q, d, m, q**m) == q**m
+    assert _rho_upto(q, d, m, q**m - 1) is None
+
+
 def test_monotonicity():
     for q in QS:
         for m in range(0, 6):

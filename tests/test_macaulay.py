@@ -176,6 +176,27 @@ def _fit(q):
     return _binomial_fit if q == INFINITY else partial(_rho_upto, q)
 
 
+def _greedy_sweep():
+    """The (q, d, n) of `test_decompose_matches_the_full_evaluation_greedy`."""
+    for q in (*SWEEP_QS, INFINITY):
+        for d in range(1, 7):
+            for n in range(300):
+                yield q, d, n
+    rng = random.Random(12)
+    for q in (*SWEEP_QS, INFINITY):
+        for _ in range(6):
+            yield q, rng.randint(16, 40), rng.randint(10**10, 10**70)
+
+
+def test_decompose_wraps_the_greedy_tuple_and_every_tuple_is_valid():
+    # the greedy returns bare tuples, and `decompose` is where they are
+    # checked: each one must pass `validate` and come back unchanged
+    for q, d, n in _greedy_sweep():
+        t = _decompose(n, d, q, _fit(q))
+        assert type(t) is tuple and validate(t, d, q), (q, d, n, t)
+        assert decompose(n, d, q).coeffs == t, (q, d, n)
+
+
 def _gallop_edge_tuples(q):
     """Valid tuples (m_d, ..., m_1) whose gaps m_{i+1} - m_i are 0, 1,
     2^j - 1, 2^j and 2^j + 1: levels that far apart, each held for one
@@ -207,8 +228,7 @@ def test_greedy_probes_grow_with_the_log_of_each_gap(q):
             highest[i] = max(m, highest.get(i, m))
             return probe(i, m, bound)
 
-        rep = _decompose(recompose(t, d, q), d, q, fit)
-        assert rep.coeffs == t
+        assert _decompose(recompose(t, d, q), d, q, fit) == t
         assert probes[1] == 0, t  # m_1 is the remainder minus one
         for i in range(2, d):  # t[d - i] is m_i, and t[d - i - 1] the one above
             gap = t[d - i - 1] - t[d - i]

@@ -244,15 +244,6 @@ def test_generator_matrix_memory_stays_near_its_cells(params, r):
     assert peak <= 4 * params.dimension * params.length
 
 
-@pytest.fixture
-def digit_limit_640():
-    """Lower int -> str conversion to its minimum of 640 digits."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
 def test_cap_messages_name_sizes_too_long_for_decimal(digit_limit_640):
     # 2^3000 has 904 digits: printable by default, not at a 640-digit limit
     p = CodeParams(2, 1, 3000)

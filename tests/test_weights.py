@@ -6,9 +6,10 @@ from bisect import bisect_right
 import pytest
 
 from rmweights.dims import CodeParams, _rho_upto, dimension_rows, rho
-from rmweights.macaulay import INFINITY, MacaulayRep, decompose
-from rmweights.oracle import e_bar_lex_column, enumerate_tuples
+from rmweights.macaulay import INFINITY, MacaulayRep, _decompose, decompose, validate
+from rmweights.oracle import e_bar_lex_column, enumerate_tuples, min_subspace_support
 from rmweights.weights import (
+    MAX_WEIGHTS,
     WeightHierarchy,
     _rank_rep,
     coeffs_to_mu,
@@ -325,3 +326,59 @@ def test_e_bars_holds_no_state_across_calls(monkeypatch):
     assert counts[0] == counts[1] > 0
     assert len(set(calls)) == len(calls)  # each argument once per call
     assert not hasattr(rho, "cache_info")
+
+
+def _small_codes():
+    """The codes of `test_e_bars_holds_no_state_across_calls`: q^m <= 1024."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        m = 1
+        while q**m <= 1024:
+            for d in range(1, m * (q - 1) + 1):
+                yield CodeParams(q, d, m)
+            m += 1
+
+
+def test_e_bars_reads_bare_tuples_that_are_all_valid(monkeypatch):
+    # e_bars builds no MacaulayRep, so the check it skips is run here on
+    # every tuple its greedy returns
+    returned = []
+
+    def spy(n, d, q, fit, top=None):
+        returned.append(t := _decompose(n, d, q, fit, top))
+        return t
+
+    monkeypatch.setattr("rmweights.weights._decompose", spy)
+    for p in _small_codes():
+        returned.clear()
+        list(e_bars(p))
+        assert len(returned) == p.dimension, p
+        for t in returned:
+            assert type(t) is tuple and validate(t, p.d, p.q), (p, t)
+
+    built, check = [], MacaulayRep.__post_init__
+    monkeypatch.setattr(MacaulayRep, "__post_init__", lambda rep: built.append(rep) or check(rep))
+    list(e_bars(CodeParams(3, 4, 5)))
+    assert built == []
+    assert e_bar(CodeParams(3, 4, 5), 7) and len(built) == 1  # the public route still checks
+
+
+def _error(call, *args):
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+def test_messages_name_a_dimension_too_long_for_decimal(digit_limit_640):
+    # k = 2^3000 has 904 digits: printable by default, not at a 640-digit limit
+    p = CodeParams(2, 3000, 3000)
+
+    def messages():
+        return [_error(hierarchy, p), _error(ghw, p, 0), _error(min_subspace_support, p, 0)]
+
+    def expected(k):
+        cap = f"{k} weights exceed the hierarchy cap {MAX_WEIGHTS}; use ghw for single ranks"
+        return [cap, f"r must be in [1, {k}]", f"r must be in [1, {k}]"]
+
+    assert messages() == expected("rho_2(3000, 3000)")
+    sys.set_int_max_str_digits(0)  # no limit: k in decimal
+    assert messages() == expected(2**3000)
