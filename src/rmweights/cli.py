@@ -174,10 +174,9 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _verify_lex(params: CodeParams, args) -> bool:
+def _verify_lex(params: CodeParams, cap: int, r) -> tuple:
     k = params.dimension
-    tuple_cap = args.cap if args.cap is not None else oracle.DEFAULT_TUPLE_CAP
-    column = oracle.e_bar_lex_column(params, tuple_cap)
+    column = oracle.e_bar_lex_column(params, cap)
     if len(column) != k:
         raise ValueError(f"the lex oracle lists {len(column)} tuples, not rho = {k}")
     # the greedy rank by rank, and the digit walk of `hierarchy`
@@ -194,35 +193,28 @@ def _verify_lex(params: CodeParams, args) -> bool:
         else:
             yield f"PASS ({k} ranks checked)"
 
-    _emit(
-        args.out, args.format,
-        doc=lambda: {
-            "oracle": "lex",
-            "status": "pass" if not mismatches else "fail",
+    return (
+        not mismatches, lambda: {
             "checked": k,
             "mismatches": [
                 {"r": r, "e_bar": str(a), **({} if w == a else {"walk": str(w)}), "oracle": str(b)}
                 for r, a, w, b in mismatches
             ],
         },
-        header="r,e_bar,oracle,match", rows=((r, a, b, a == w == b) for r, a, w, b in rows),
-        lines=lines,
+        "r,e_bar,oracle,match", ((r, a, b, a == w == b) for r, a, w, b in rows), lines,
     )
-    return not mismatches
 
 
-def _verify_exhaustive(params: CodeParams, args) -> bool:
-    k = params.dimension
-    subspace_cap = args.cap if args.cap is not None else oracle.DEFAULT_SUBSPACE_CAP
-    if args.r is not None:
-        ranks = [args.r]
+def _verify_exhaustive(params: CodeParams, cap: int, r) -> tuple:
+    if r is not None:
+        ranks = [r]
     else:
         oracle.check_matrix_caps(params)  # before a rank scan that could only end at a cap
-        ranks = oracle.ranks_under_cap(k, params.q, subspace_cap)
+        ranks = oracle.ranks_under_cap(params.dimension, params.q, cap)
         if not ranks:
             raise ValueError("no rank fits under the subspace cap; pass --r or raise --cap")
     rows = [
-        (s, weights.ghw(params, s), oracle.min_subspace_support(params, s, subspace_cap))
+        (s, weights.ghw(params, s), oracle.min_subspace_support(params, s, cap))
         for s in ranks
     ]
     mismatches = [row for row in rows if row[1] != row[2]]
@@ -233,27 +225,21 @@ def _verify_exhaustive(params: CodeParams, args) -> bool:
         if mismatches:
             yield f"FAIL ({len(mismatches)} mismatches / {len(rows)} ranks)"
 
-    _emit(
-        args.out, args.format,
-        doc=lambda: {
-            "oracle": "exhaustive",
-            "status": "pass" if not mismatches else "fail",
+    return (
+        not mismatches, lambda: {
             "checks": [
                 {"r": s, "formula": str(a), "exhaustive": str(b), "match": a == b}
                 for s, a, b in rows
             ],
         },
-        header="r,formula,exhaustive,match", rows=((s, a, b, a == b) for s, a, b in rows),
-        lines=lines,
+        "r,formula,exhaustive,match", ((s, a, b, a == b) for s, a, b in rows), lines,
     )
-    return not mismatches
 
 
-def _verify_dims(params: CodeParams, args) -> bool:
+def _verify_dims(params: CodeParams, cap: int, r) -> tuple:
     q, d, m = params.q, params.d, params.m
-    tuple_cap = args.cap if args.cap is not None else oracle.DEFAULT_TUPLE_CAP
     # enumerate first: a code past the cap exits before the closed forms run
-    enumeration = oracle.count_reduced_monomials(q, d, m, tuple_cap)
+    enumeration = oracle.count_reduced_monomials(q, d, m, cap)
     values = {
         "formula": rho(q, d, m),
         "recursion": rho_recursive(q, d, m),
@@ -268,25 +254,29 @@ def _verify_dims(params: CodeParams, args) -> bool:
             return [f"PASS rho = {values['formula']} by {len(values)} methods"]
         return [*(f"{name} = {v}" for name, v in values.items()), "FAIL (methods disagree)"]
 
-    _emit(
-        args.out, args.format,
-        doc=lambda: {
-            "oracle": "dims",
-            "status": "pass" if agreed else "fail",
-            "values": {name: str(v) for name, v in values.items()},
-        },
-        header="method,rho", rows=values.items(),
-        lines=lines,
+    return (
+        agreed, lambda: {"values": {name: str(v) for name, v in values.items()}},
+        "method,rho", values.items(), lines,
     )
-    return agreed
+
+
+# verify's oracles: name -> (check, default --cap).  A check returns its verdict,
+# then `_emit`'s doc (its own JSON keys only), header, rows and lines.
+_ORACLES = {
+    "lex": (_verify_lex, oracle.DEFAULT_TUPLE_CAP),
+    "exhaustive": (_verify_exhaustive, oracle.DEFAULT_SUBSPACE_CAP),
+    "dims": (_verify_dims, oracle.DEFAULT_TUPLE_CAP),
+}
 
 
 def cmd_verify(args) -> int:
     if args.r is not None and args.oracle != "exhaustive":
         raise ValueError(f"--r applies only to --oracle exhaustive, not --oracle {args.oracle}")
-    params = CodeParams(args.q, args.d, args.m)
-    verify = {"lex": _verify_lex, "exhaustive": _verify_exhaustive, "dims": _verify_dims}
-    passed = verify[args.oracle](params, args)
+    check, default_cap = _ORACLES[args.oracle]
+    cap = default_cap if args.cap is None else args.cap
+    passed, keys, *report = check(CodeParams(args.q, args.d, args.m), cap, args.r)
+    frame = {"oracle": args.oracle, "status": "pass" if passed else "fail"}
+    _emit(args.out, args.format, lambda: {**frame, **keys()}, *report)
     return 0 if passed else 1
 
 
@@ -341,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="compare closed forms against a brute-force oracle")
     code(p)
-    p.add_argument("--oracle", choices=("lex", "exhaustive", "dims"), required=True)
+    p.add_argument("--oracle", choices=_ORACLES, required=True)
     p.add_argument("--r", type=int, help="single rank to check (exhaustive oracle)")
     p.add_argument("--cap", type=int, help="enumeration cap override")
     common(p)
