@@ -3,8 +3,8 @@
 Subcommands: dim, macaulay, ghw, hierarchy, table, verify.  Exit codes:
 0 success, 1 verification mismatch, 2 usage or validation error.  Big
 numbers are serialized as decimal strings in JSON output so nothing is
-ever squeezed through a double, and results print in full whatever
-Python's int -> str digit limit (`_emit`).
+ever squeezed through a double, and integers are read and printed in
+full whatever Python's int <-> str digit limit (`_all_digits`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 
 from . import oracle, weights
@@ -43,6 +43,20 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+@contextmanager
+def _all_digits():
+    """Lift Python's int <-> str digit limit for the block, and restore
+    the caller's limit however the block ends."""
+    limit = _digit_limit()  # 0: no limit, as before Python 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _emit(path, fmt, doc, header, rows, lines) -> None:
     """Print one result in the requested format, to stdout, or to the
     file at `path` (`--out`).
@@ -54,26 +68,19 @@ def _emit(path, fmt, doc, header, rows, lines) -> None:
     as true/false; plain prints each line that the zero-argument
     callable `lines` returns.  `rows` may be a generator, so no format
     builds another format's output.  Numbers are formatted only here,
-    with Python's int -> str digit limit lifted, so a result prints in
-    full at any size; the caller's limit is restored on the way out."""
-    limit = _digit_limit()  # 0: no limit, as before Python 3.10.7
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        with nullcontext(sys.stdout) if path is None else open(path, "w") as out:
-            if fmt == "json":
-                print(json.dumps(doc(), indent=2), file=out)
-            elif fmt == "csv":
-                print(header, file=out)
-                for row in rows:
-                    cells = (str(v).lower() if isinstance(v, bool) else str(v) for v in row)
-                    print(",".join(cells), file=out)
-            else:
-                for line in lines():
-                    print(line, file=out)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    with the digit limit lifted (`_all_digits`), so a result prints in
+    full at any size."""
+    with _all_digits(), nullcontext(sys.stdout) if path is None else open(path, "w") as out:
+        if fmt == "json":
+            print(json.dumps(doc(), indent=2), file=out)
+        elif fmt == "csv":
+            print(header, file=out)
+            for row in rows:
+                cells = (str(v).lower() if isinstance(v, bool) else str(v) for v in row)
+                print(",".join(cells), file=out)
+        else:
+            for line in lines():
+                print(line, file=out)
 
 
 def cmd_dim(args) -> int:
@@ -91,18 +98,25 @@ def cmd_dim(args) -> int:
 def cmd_macaulay(args) -> int:
     qparam = _parse_qparam(args.q)
     rep = decompose(args.n, args.d, qparam)
-    terms = rep.term_values()
-    _emit(
-        args.out, args.format,
-        doc=lambda: {
+
+    def doc():  # the summands are evaluated only for the formats that print them
+        terms = rep.term_values()
+        total = str(sum(terms))
+        return {
             "q": "inf" if qparam == INFINITY else qparam,
             "d": rep.d,
             "coeffs": list(rep.coeffs),
             "terms": [str(t) for t in terms],
-            "sum": str(sum(terms)),
-            "n": str(rep.n),
-        },
-        header="degree,coefficient,term", rows=zip(range(rep.d, 0, -1), rep.coeffs, terms),
+            "sum": total,
+            "n": total,  # rep.n is defined as the sum of the summands
+        }
+
+    def rows():
+        yield from zip(range(rep.d, 0, -1), rep.coeffs, rep.term_values())
+
+    _emit(
+        args.out, args.format, doc=doc,
+        header="degree,coefficient,term", rows=rows(),
         lines=lambda: ["(" + ", ".join(str(c) for c in rep.coeffs) + ")"],
     )
     return 0
@@ -175,6 +189,9 @@ def cmd_table(args) -> int:
 
 
 def _verify_lex(params: CodeParams, cap: int, r) -> tuple:
+    # the tuple cap bounds q^m, not k: refuse a code past the hierarchy
+    # cap before its tuples are listed
+    weights.check_hierarchy_cap(params)
     k = params.dimension
     column = oracle.e_bar_lex_column(params, cap)
     if len(column) != k:
@@ -342,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    with _all_digits():  # so --n and --r take integers of any size
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

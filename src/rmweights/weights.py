@@ -16,10 +16,11 @@ tuples.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import pairwise
+from itertools import islice
 
 from .dims import CodeParams, _decimal_or, rho
 from .macaulay import INFINITY, MacaulayRep, _decompose, decompose
@@ -107,7 +108,7 @@ class WeightHierarchy:
         k = self.params.dimension
         if len(self.weights) != k:
             raise ValueError(f"expected {k} weights, got {len(self.weights)}")
-        if any(a >= b for a, b in pairwise(self.weights)):
+        if any(map(operator.ge, self.weights, islice(self.weights, 1, None))):
             raise ValueError("weights must be strictly increasing")
         if self.weights[-1] != self.params.length:
             raise ValueError("last weight must equal the block length q^m")

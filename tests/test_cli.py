@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import rmweights
-from rmweights import oracle, weights
+from rmweights import macaulay, oracle, weights
 from rmweights.cli import main
 from rmweights.dims import is_prime_power
 
@@ -459,6 +459,44 @@ def test_main_restores_the_callers_digit_limit(capsys, tmp_path, digit_limit):
     assert sys.get_int_max_str_digits() == 5000
     assert run(capsys, "ghw", "--q", "2", "--d", "1", "--m", "3", "--r", "5")[0] == 2
     assert sys.get_int_max_str_digits() == 5000
+
+
+def test_arguments_are_read_in_full_past_the_digit_limit(capsys, digit_limit):
+    digit_limit(0)  # to write the arguments and the expected outputs
+    n, r = 10**4400, 2**15000 - 5
+    n_arg, r_arg = str(n), str(r)
+    macaulay_out, ghw_out = f"({n - 1})\n", f"d_r = {r} (e_bar = 5)\n"
+    digit_limit(oracle._DEFAULT_DIGIT_LIMIT)
+    assert run(capsys, "macaulay", "--n", n_arg, "--d", "1", "--q", "2") == (0, macaulay_out, "")
+    assert sys.get_int_max_str_digits() == oracle._DEFAULT_DIGIT_LIMIT
+    # k = 2^15000 at d = m(q-1), and rank k - 5 has e_bar = 5
+    argv = ("ghw", "--q", "2", "--d", "15000", "--m", "15000", "--r", r_arg)
+    assert run(capsys, *argv) == (0, ghw_out, "")
+    assert sys.get_int_max_str_digits() == oracle._DEFAULT_DIGIT_LIMIT
+    with pytest.raises(SystemExit) as exc:  # a usage error after the big argument
+        main(["macaulay", "--n", n_arg, "--d", "x", "--q", "2"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert sys.get_int_max_str_digits() == oracle._DEFAULT_DIGIT_LIMIT
+
+
+def test_macaulay_evaluates_the_summands_only_for_the_formats_that_print_them(capsys, monkeypatch):
+    calls = []
+    term = macaulay.dim_term
+    monkeypatch.setattr(macaulay, "dim_term", lambda *args: calls.append(args) or term(*args))
+    for fmt, want in (("plain", 0), ("json", 3), ("csv", 3)):
+        calls.clear()
+        assert run(capsys, "macaulay", "--n", "12", "--d", "3", "--q", "4", "--format", fmt)[0] == 0
+        assert len(calls) == want, fmt
+
+
+def test_verify_lex_refuses_a_code_past_the_hierarchy_cap_before_listing(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(weights, "MAX_WEIGHTS", 10)
+    monkeypatch.setattr(oracle, "enumerate_tuples", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "verify", "--q", "2", "--d", "2", "--m", "4", "--oracle", "lex")
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: 11 weights exceed the hierarchy cap 10; use ghw for single ranks\n"
 
 
 def test_self_checks_survive_python_O():

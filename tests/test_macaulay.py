@@ -68,6 +68,8 @@ def test_recompose_rejects_invalid():
         recompose((0, 1), d=2, qparam=3)  # increasing in stored order
     with pytest.raises(ValueError):
         recompose((2, 1), d=3, qparam=2)  # length mismatch
+    with pytest.raises(ValueError, match="d and qparam are required"):
+        recompose((1, 0))  # a raw tuple alone
 
 
 def test_validate_examples():
@@ -103,6 +105,13 @@ def test_rep_constructor_checks():
         MacaulayRep(qparam=4, d=3, coeffs=(2, 0))  # length mismatch
     with pytest.raises(TypeError, match="integers"):
         MacaulayRep(qparam=INFINITY, d=2, coeffs=(0.5, 0))
+    assert validate((), 0, 2)  # the empty tuple is valid, so the degree check must catch it
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        MacaulayRep(qparam=2, d=0, coeffs=())
+    with pytest.raises(ValueError, match="prime power or INFINITY"):
+        validate((0,), 1, 6)
+    with pytest.raises(ValueError, match="prime power or INFINITY"):
+        decompose(5, 2, 6)
     # a list is stored as a tuple, so the representation hashes and orders
     listed = MacaulayRep(qparam=4, d=3, coeffs=[2, 0, 0])
     assert listed == decompose(12, 3, 4)

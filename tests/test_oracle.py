@@ -163,6 +163,9 @@ def test_enumeration_caps():
         enumerate_tuples(3, 2, 4, cap=10)
     with pytest.raises(ValueError):
         count_reduced_monomials(2, 1, -1)
+    for listing in (count_reduced_monomials, enumerate_tuples):
+        with pytest.raises(ValueError, match="q must be >= 2"):
+            listing(1, 1, 1)
 
 
 def test_enumerate_tuples_order():
