@@ -17,7 +17,9 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 
 from . import oracle, weights
-from .dims import CodeParams, _digit_limit, is_prime_power, rho, rho_binomial, rho_recursive
+from .dims import (
+    CodeParams, _decimal_or, _digit_limit, is_prime_power, rho, rho_binomial, rho_recursive,
+)
 from .macaulay import INFINITY, decompose
 
 
@@ -97,6 +99,10 @@ def cmd_dim(args) -> int:
 
 def cmd_macaulay(args) -> int:
     qparam = _parse_qparam(args.q)
+    # every one of the d coefficients is printed, so d is capped like a hierarchy
+    if args.d > weights.MAX_WEIGHTS:
+        shown = _decimal_or(args.d, f"a {args.d.bit_length()}-bit integer")
+        raise ValueError(f"d = {shown} exceeds the degree cap {weights.MAX_WEIGHTS}")
     rep = decompose(args.n, args.d, qparam)
 
     def doc():  # the summands are evaluated only for the formats that print them
@@ -196,7 +202,7 @@ def _verify_lex(params: CodeParams, cap: int, r) -> tuple:
     column = oracle.e_bar_lex_column(params, cap)
     if len(column) != k:
         raise ValueError(f"the lex oracle lists {len(column)} tuples, not rho = {k}")
-    # the greedy rank by rank, and the digit walk of `hierarchy`
+    # the greedy at every rank, and the digit walk of `hierarchy`
     walk = (params.length - w for w in weights.hierarchy(params))
     rows = list(zip(range(1, k + 1), weights.e_bars(params), walk, column))
     mismatches = [row for row in rows if not row[1] == row[2] == row[3]]
@@ -230,10 +236,10 @@ def _verify_exhaustive(params: CodeParams, cap: int, r) -> tuple:
         ranks = oracle.ranks_under_cap(params.dimension, params.q, cap)
         if not ranks:
             raise ValueError("no rank fits under the subspace cap; pass --r or raise --cap")
-    rows = [
-        (s, weights.ghw(params, s), oracle.min_subspace_support(params, s, cap))
-        for s in ranks
-    ]
+    rows = []
+    for s in ranks:
+        exhaustive = oracle.min_subspace_support(params, s, cap)  # its caps before ghw's q^m
+        rows.append((s, weights.ghw(params, s), exhaustive))
     mismatches = [row for row in rows if row[1] != row[2]]
 
     def lines():

@@ -189,14 +189,17 @@ def _binomial_fit(i: int, m: int, bound: int) -> int | None:
     return value if value <= bound else None
 
 
-def decompose(n: int, d: int, qparam) -> MacaulayRep:
+def decompose(n: int, d: int, qparam, top: int | None = None) -> MacaulayRep:
     """Compute the d-th Macaulay representation of n with respect to qparam.
 
     Greedy from degree d down to 1: each coefficient is the unique
     m_i >= -1 with dim_term(i, m_i) <= remainder < dim_term(i, m_i + 1).
-    Only m_d is searched without a bound; every lower one lies in
-    [-1, m_{i+1}], or [-1, m_{i+1} - 1] when it would end a run of q
-    equal coefficients, and is found by galloping down from that bound.
+    Only m_d is searched without a bound, unless the caller knows one
+    and passes it as `top` (an integer >= -1); a `top` below the true
+    m_d raises AssertionError, as the terms then fall short of n.
+    Every lower coefficient lies in [-1, m_{i+1}], or [-1, m_{i+1} - 1]
+    when it would end a run of q equal coefficients, and is found by
+    galloping down from that bound.
     m_1 is the remainder minus one, capped by its bound, with no probe.
     A probe for finite q is `dims._rho_upto`, which skips the argument
     checks (q is checked here once, and the greedy makes i and m) and
@@ -205,12 +208,14 @@ def decompose(n: int, d: int, qparam) -> MacaulayRep:
     returned.
     """
     _check_qparam(qparam)
-    if not isinstance(n, int) or not isinstance(d, int):
-        raise TypeError("n and d must be integers")
+    if not (isinstance(n, int) and isinstance(d, int) and isinstance(top, (int, type(None)))):
+        raise TypeError("n, d and top (if given) must be integers")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if top is not None and top < -1:
+        raise ValueError("top must be >= -1")
     fit = _binomial_fit if qparam == INFINITY else partial(_rho_upto, qparam)
-    return MacaulayRep(qparam, d, _decompose(n, d, qparam, fit))
+    return MacaulayRep(qparam, d, _decompose(n, d, qparam, fit, top))
 
 
 def recompose(coeffs, d: int | None = None, qparam=None) -> int:

@@ -202,13 +202,37 @@ def ranks_under_cap(k: int, q: int, cap: int) -> list:
 _DEFAULT_DIGIT_LIMIT = getattr(sys.int_info, "default_max_str_digits", 4300)
 
 
+def _capped(count, bits: int, name: str, cap: int, message) -> int:
+    """count(), or ValueError(message(shown)) if it exceeds `cap`, where
+    shown is its decimal where int -> str allows it, else `name`.
+
+    count() >= 2^bits.  Past 4 bits per digit of Python's default
+    int -> str limit, such a count has more digits than that limit and
+    exceeds every cap below 2^bits, so it is named, not computed.  The
+    default decides even where the live limit is 0 (none) or higher:
+    such a count can take minutes to compute, or more memory than there
+    is, and the message stays the one printed at the default."""
+    if not (bits > 4 * _DEFAULT_DIGIT_LIMIT and cap.bit_length() <= bits):
+        if (n := count()) <= cap:
+            return n
+        name = _decimal_or(n, name)
+    raise ValueError(message(name))
+
+
+def _points_under_cap(q: int, m: int, cap: int, what: str) -> int:
+    """q^m, or ValueError naming the `what` cap if q^m exceeds `cap`."""
+    return _capped(
+        lambda: q**m, m * (q.bit_length() - 1), f"{q}^{m}", cap,
+        lambda shown: f"q^m = {shown} exceeds the {what} cap {cap}",
+    )
+
+
 def _check_enumeration_args(q: int, m: int, cap: int) -> None:
     if q < 2:
         raise ValueError("q must be >= 2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if (n := q**m) > cap:
-        raise ValueError(f"q^m = {_decimal_or(n, f'{q}^{m}')} exceeds the enumeration cap {cap}")
+    _points_under_cap(q, m, cap, "enumeration")
 
 
 def count_reduced_monomials(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> int:
@@ -297,9 +321,7 @@ def check_matrix_caps(params: CodeParams) -> None:
     """Raise ValueError if the generator matrix of `params` has more
     columns (q^m) than MAX_POINTS or more cells (rows times columns)
     than MAX_CELLS."""
-    q, m = params.q, params.m
-    if (n := q**m) > MAX_POINTS:
-        raise ValueError(f"q^m = {_decimal_or(n, f'{q}^{m}')} exceeds the column cap {MAX_POINTS}")
+    n = _points_under_cap(params.q, params.m, MAX_POINTS, "column")
     if (k := params.dimension) * n > MAX_CELLS:
         raise ValueError(f"{k} x {n} = {k * n} matrix cells exceed the cell cap {MAX_CELLS}")
 
@@ -361,24 +383,13 @@ def _rref_bases(k: int, r: int, q: int):
 
 
 def _count_subspaces(k: int, r: int, q: int, cap: int) -> int:
-    """[k, r]_q, or ValueError if it exceeds `cap`.
-
-    [k, r]_q >= q^(r(k-r)) >= 2^bits.  Past 4 bits per digit of Python's
-    default int -> str limit, the count has more digits than that limit
-    and exceeds every cap below 2^bits, so it is named, not computed.
-    The default decides even where the live limit is 0 (none) or higher:
-    such a count takes seconds to minutes to compute, and the message
-    stays the one printed at the default."""
-    shown = f"[{k}, {r}]_{q}"  # Gaussian binomial
+    """[k, r]_q, or ValueError if it exceeds `cap`; [k, r]_q >= q^(r(k-r)),
+    so a huge count is named (a Gaussian binomial), not computed."""
     bits = r * (k - r) * (q.bit_length() - 1)
-    if not (bits > 4 * _DEFAULT_DIGIT_LIMIT and cap.bit_length() <= bits):
-        n_subspaces = gaussian_binomial(k, r, q)
-        if n_subspaces <= cap:
-            return n_subspaces
-        shown = _decimal_or(n_subspaces, shown)
-    raise ValueError(
-        f"{shown} subspaces exceeds the cap {cap};"
-        " use the lexicographic oracle for these parameters"
+    return _capped(
+        lambda: gaussian_binomial(k, r, q), bits, f"[{k}, {r}]_{q}", cap,
+        lambda shown: f"{shown} subspaces exceeds the cap {cap};"
+        " use the lexicographic oracle for these parameters",
     )
 
 

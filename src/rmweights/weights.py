@@ -5,9 +5,11 @@ rho_q(d, m) - r with respect to q: the maximum number of common zeros
 of r independent reduced polynomials is sum_i floor(q^(m_i)), where the
 floor just sends the m_i = -1 terms to zero, and the weight is q^m
 minus that.  `e_bar`, `ghw` and `mu_tuple` run that greedy for one
-rank, through the checked `decompose`; `e_bars` runs it for every rank
-of one code, with the rho values memoized for that call only, and reads
-the bare coefficient tuples.  `hierarchy` runs none: the
+rank, through the checked `decompose`, bounded by m_d <= m - 1.
+`e_bars` runs it once in full for the first rank of one code and then
+steps from each representation to the next, re-running the greedy only
+on the tail that changes, with the rho values memoized for that call
+only; it reads the bare coefficient tuples.  `hierarchy` runs none: the
 representations of k-1, ..., 0 map to the digit tuples with digit sum
 <= d in descending lex order (Heijnen & Pellikaan, IEEE Trans. IT
 44(1), 1998), so it lists the whole hierarchy in one walk over those
@@ -47,14 +49,17 @@ def coeffs_to_mu(rep: MacaulayRep, m: int) -> tuple[int, ...]:
 
 
 def _rank_rep(params: CodeParams, r: int) -> MacaulayRep:
-    """Macaulay representation of rho_q(d, m) - r, for r in [1, rho_q(d, m)]."""
+    """Macaulay representation of rho_q(d, m) - r, for r in [1, rho_q(d, m)].
+
+    rho_q(d, .) increases and k - r < k = rho_q(d, m), so m_d <= m - 1,
+    the bound the greedy starts from."""
     if not isinstance(r, int):
         raise TypeError("r must be an integer")
     k = params.dimension
     if not 1 <= r <= k:
         shown = _decimal_or(k, f"rho_{params.q}({params.d}, {params.m})")
         raise ValueError(f"r must be in [1, {shown}]")
-    return decompose(k - r, params.d, params.q)
+    return decompose(k - r, params.d, params.q, top=params.m - 1)
 
 
 def e_bar(params: CodeParams, r: int) -> int:
@@ -68,16 +73,24 @@ def e_bar(params: CodeParams, r: int) -> int:
 def e_bars(params: CodeParams):
     """Yield e_bar(params, r) for r = 1, ..., rho_q(d, m), in that order.
 
-    The same greedy as `e_bar`, rank by rank, but its probes read a
-    memo of rho created by this call: the ranks of one code probe the
-    same few (i, m_i) pairs over and over, so exact values beat the
-    partial sums of `decompose`.  Each rank decomposes
-    n = k - r < k = rho_q(d, m), and rho_q(d, .) increases, so m_d is
-    bounded by m - 1: the greedy probes m - 1 and gallops down from it,
-    with no doubling, and every lower coefficient likewise from its own
-    bound (`macaulay._decompose`).  A probe has degree i <= d and
-    coefficient -1 <= m_i <= m - 1, so the memo stays below d(m + 1)
-    entries, and it is dropped with the generator.
+    The same greedy as `e_bar`, run once in full, for n = k - 1, and
+    then resumed from each n to n - 1.  Let c, at degree i, be the last
+    coefficient of n's tuple that is not -1, so its summand ends the
+    sum.  The greedy for n - 1 makes the same choices above c, since
+    each remainder there leaves at least that summand, so at least 1,
+    after its own summand.  What is left for degrees i..1 is the summand
+    of c less 1, below the summand of c: the greedy runs on it alone,
+    with top c - 1, and no spacing run carries over from the
+    coefficients above (`macaulay._decompose`, which keeps its sum check
+    on every tail).  e_bar changes by the powers q^m_i of the tail less
+    q^c.  The full greedy decomposes k - 1 < k = rho_q(d, m), so its m_d
+    is at most m - 1, and it gallops down from there.
+
+    Probes read a memo of rho created by this call: the ranks of one
+    code probe the same few (i, m_i) pairs over and over, so exact
+    values beat the partial sums of `decompose`.  A probe has degree
+    i <= d and coefficient -1 <= m_i <= m - 1, so the memo stays below
+    d(m + 1) entries, and it is dropped with the generator.
     """
     q, d, m = params.q, params.d, params.m
     term = cache(lambda i, c: rho(q, i, c))
@@ -87,9 +100,17 @@ def e_bars(params: CodeParams):
         return value if value <= bound else None
 
     powers = [q**c for c in range(m)] + [0]  # q^c for every m_i, and 0 at m_i = -1
-    k = params.dimension
-    for r in range(1, k + 1):
-        yield sum(map(powers.__getitem__, _decompose(k - r, d, q, fit, m - 1)))
+    n = params.dimension - 1
+    coeffs = _decompose(n, d, q, fit, m - 1)
+    value = sum(map(powers.__getitem__, coeffs))
+    yield value
+    for _ in range(n):
+        j = d - 1 - coeffs.count(-1)  # c is the last entry >= 0; the -1s trail
+        i, c = d - j, coeffs[j]
+        tail = _decompose(term(i, c) - 1, i, q, fit, c - 1)
+        coeffs = coeffs[:j] + tail
+        value += sum(map(powers.__getitem__, tail)) - powers[c]
+        yield value
 
 
 def ghw(params: CodeParams, r: int) -> int:

@@ -361,6 +361,48 @@ def test_verify_dims_rejects_an_oversized_code_before_the_closed_forms():
     assert proc.stderr == f"error: q^m = 2^100000 exceeds the enumeration cap {10**8}\n"
 
 
+# the CLI in a child whose address space is capped at 1 GB, so that
+# 2^(10^10), a 1.25 GB integer, cannot be built there
+_MAIN_UNDER_1GB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+from rmweights.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (
+        "verify --q 2 --d 1 --m 10000000000 --oracle dims",
+        f"q^m = 2^10000000000 exceeds the enumeration cap {10**8}",
+    ),
+    (
+        "verify --q 2 --d 1 --m 10000000000 --oracle exhaustive",
+        f"q^m = 2^10000000000 exceeds the column cap {10**6}",
+    ),
+    (
+        "verify --q 2 --d 1 --m 10000000000 --oracle exhaustive --r 1",
+        f"[10000000001, 1]_2 subspaces exceeds the cap {10**7};"
+        " use the lexicographic oracle for these parameters",
+    ),
+    (
+        "macaulay --n 5 --d 100000000000 --q 2",
+        f"d = 100000000000 exceeds the degree cap {weights.MAX_WEIGHTS}",
+    ),
+])
+def test_oversized_inputs_exit_on_a_cap_before_q_m_or_d_is_built(argv, message):
+    proc = _run_python("-c", _MAIN_UNDER_1GB, *argv.split(), timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_macaulay_caps_d_before_the_greedy(capsys, monkeypatch):
+    monkeypatch.setattr(weights, "MAX_WEIGHTS", 3)
+    assert run(capsys, "macaulay", "--n", "5", "--d", "3", "--q", "2") == (0, "(2, 0, -1)\n", "")
+    monkeypatch.setattr("rmweights.cli.decompose", lambda *args: pytest.fail("decomposed"))
+    code, out, err = run(capsys, "macaulay", "--n", "5", "--d", "4", "--q", "2")
+    assert (code, out, err) == (2, "", "error: d = 4 exceeds the degree cap 3\n")
+
+
 def test_verify_lex_lists_the_tuples_once(capsys, monkeypatch):
     calls = []
     listing = oracle.enumerate_tuples

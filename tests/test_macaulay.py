@@ -253,6 +253,25 @@ def test_greedy_raises_when_its_top_bound_is_too_low(q):
     # 10^6 needs m_3 far above 3; the capped terms leave most of it
     with pytest.raises(AssertionError, match="leave"):
         _decompose(10**6, 3, q, _fit(q), 3)
+    with pytest.raises(AssertionError, match="leave"):
+        decompose(10**6, 3, q, top=3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, INFINITY])
+def test_decompose_with_a_top_at_or_above_m_d_is_unchanged(q):
+    for d in range(1, 6):
+        for n in range(200):
+            rep = decompose(n, d, q)
+            for top in (rep.coeffs[0], rep.coeffs[0] + 1, rep.coeffs[0] + 9):
+                assert decompose(n, d, q, top=top) == rep, (q, d, n, top)
+            if rep.coeffs[0] >= 0:
+                with pytest.raises(AssertionError, match="leave"):
+                    decompose(n, d, q, top=rep.coeffs[0] - 1)
+    with pytest.raises(ValueError, match="top must be >= -1"):
+        decompose(5, 2, q, top=-2)
+    for top in (1.0, "3"):
+        with pytest.raises(TypeError, match="integers"):
+            decompose(5, 2, q, top=top)
 
 
 def _code_of_dimension(q, d, target):

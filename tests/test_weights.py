@@ -6,7 +6,14 @@ from bisect import bisect_right
 import pytest
 
 from rmweights.dims import CodeParams, _rho_upto, dimension_rows, rho
-from rmweights.macaulay import INFINITY, MacaulayRep, _decompose, decompose, validate
+from rmweights.macaulay import (
+    INFINITY,
+    MacaulayRep,
+    _decompose,
+    _greedy_coefficient,
+    decompose,
+    validate,
+)
 from rmweights.oracle import e_bar_lex_column, enumerate_tuples, min_subspace_support
 from rmweights.weights import (
     MAX_WEIGHTS,
@@ -339,27 +346,61 @@ def _small_codes():
 
 
 def test_e_bars_reads_bare_tuples_that_are_all_valid(monkeypatch):
-    # e_bars builds no MacaulayRep, so the check it skips is run here on
-    # every tuple its greedy returns
-    returned = []
+    # e_bars builds no MacaulayRep, and after its first rank it runs the
+    # greedy only on the tail that changes: a tail of degree i replaces
+    # the last i coefficients of the tuple before.  The check it skips is
+    # run here on every full tuple it forms, one per rank, and each must
+    # be the tuple that the single-rank route checks and returns
+    formed = []
 
     def spy(n, d, q, fit, top=None):
-        returned.append(t := _decompose(n, d, q, fit, top))
-        return t
+        tail = _decompose(n, d, q, fit, top)
+        formed.append(formed[-1][: len(formed[-1]) - d] + tail if formed else tail)
+        return tail
 
     monkeypatch.setattr("rmweights.weights._decompose", spy)
     for p in _small_codes():
-        returned.clear()
+        formed.clear()
         list(e_bars(p))
-        assert len(returned) == p.dimension, p
-        for t in returned:
-            assert type(t) is tuple and validate(t, p.d, p.q), (p, t)
+        assert len(formed) == p.dimension, p
+        for r, t in enumerate(formed, start=1):
+            assert type(t) is tuple and validate(t, p.d, p.q), (p, r, t)
+            assert t == _rank_rep(p, r).coeffs, (p, r)
 
     built, check = [], MacaulayRep.__post_init__
     monkeypatch.setattr(MacaulayRep, "__post_init__", lambda rep: built.append(rep) or check(rep))
     list(e_bars(CodeParams(3, 4, 5)))
     assert built == []
     assert e_bar(CodeParams(3, 4, 5), 7) and len(built) == 1  # the public route still checks
+
+
+def test_e_bars_searches_at_most_one_coefficient_per_rank(monkeypatch):
+    # resumed from rank to rank, the greedy searches a coefficient only
+    # where the tail changes; run in full per rank it searched about 7
+    calls = []
+    search = _greedy_coefficient
+    monkeypatch.setattr(
+        "rmweights.macaulay._greedy_coefficient", lambda *args: calls.append(args) or search(*args)
+    )
+    for p in _small_codes():
+        calls.clear()
+        list(e_bars(p))
+        assert len(calls) <= p.dimension, p
+
+
+def test_rank_queries_probe_no_top_coefficient_above_m_minus_1(monkeypatch):
+    # k - r < k = rho_q(d, m), so m_d <= m - 1; searched from 0 by
+    # doubling, m_d was probed at 2047, a probe of 1,001 terms
+    probes = []
+    monkeypatch.setattr(
+        "rmweights.macaulay._rho_upto",
+        lambda q, i, m, bound: probes.append((i, m)) or _rho_upto(q, i, m, bound),
+    )
+    p = CodeParams(2, 2000, 2000)
+    for r in (1, 2, 3):
+        probes.clear()
+        assert ghw(p, r) == r  # d = m(q-1): the whole space, with d_r = r
+        assert probes and all(m <= p.m - 1 for i, m in probes if i == p.d), r
 
 
 def _error(call, *args):
