@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 from . import oracle, weights
 from .dims import (
-    CodeParams, _decimal_or, _digit_limit, is_prime_power, rho, rho_binomial, rho_recursive,
+    CodeParams, _digit_limit, is_prime_power, rho, rho_binomial, rho_recursive,
 )
 from .macaulay import INFINITY, decompose
 
@@ -99,10 +99,6 @@ def cmd_dim(args) -> int:
 
 def cmd_macaulay(args) -> int:
     qparam = _parse_qparam(args.q)
-    # every one of the d coefficients is printed, so d is capped like a hierarchy
-    if args.d > weights.MAX_WEIGHTS:
-        shown = _decimal_or(args.d, f"a {args.d.bit_length()}-bit integer")
-        raise ValueError(f"d = {shown} exceeds the degree cap {weights.MAX_WEIGHTS}")
     rep = decompose(args.n, args.d, qparam)
 
     def doc():  # the summands are evaluated only for the formats that print them

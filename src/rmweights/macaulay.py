@@ -11,27 +11,42 @@ returns the degree-i summand at m when it is <= bound and None
 otherwise; the summand of each coefficient is the value of its last
 probe that fit, so no summand is evaluated twice.  The two conditions
 bound each coefficient from above: by the one above it, and by one less
-after a run of q - 1 equal coefficients.  The search gallops down from
-that bound, since most coefficients lie at or just below it, and m_1
-needs no search, as every degree-1 summand is m_1 + 1.  For finite q,
-`decompose` probes with `dims._rho_upto`, which gives up on the first
-partial sum of rho's inclusion-exclusion formula past the bound; a
-caller that decomposes many integers with one q can instead probe a
-memo of the summands (`weights.e_bars`).  The greedy returns the bare
-coefficient tuple; `decompose` is the one place that wraps it in a
-`MacaulayRep`, whose constructor validates it.
+after a run of q - 1 equal coefficients.  The search probes that bound
+first, since many coefficients lie at it; then it probes just above a
+guess that the remainder gives (`_estimate`, a float inversion of a
+binomial that stands in for the summand) and gallops from there.  The
+guess only picks where the exact probes start, so no float reaches a
+coefficient.  m_1 needs no search, as every degree-1 summand is
+m_1 + 1.  For finite q, `decompose` probes with `dims._rho_upto`, which
+gives up on the first partial sum of rho's inclusion-exclusion formula
+past the bound; a caller that decomposes many integers with one q can
+instead probe a memo of the summands (`weights.e_bars`).  The greedy
+returns the bare coefficient tuple; `decompose` is the one place that
+wraps it in a `MacaulayRep`, whose constructor validates it.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .dims import _rho_upto, binomial, is_prime_power, rho
+from .dims import _decimal_or, _rho_upto, binomial, is_prime_power, rho
 
 INFINITY = float("inf")
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+# degrees that `decompose` takes at most: it stores and checks all d
+# coefficients, whatever n is, so the cap keeps that near 80 MB
+MAX_DEGREE = 5 * 10**6
+
+
+def _shown(n: int) -> int | str:
+    """n for an error message, or its bit length past the digit limit."""
+    return _decimal_or(n, f"a {n.bit_length()}-bit integer")
 
 
 def _check_qparam(qparam) -> None:
@@ -116,30 +131,68 @@ class MacaulayRep:
         )
 
 
-def _greedy_coefficient(fit, i: int, remainder: int, hi: int | None) -> tuple[int, int]:
+def _estimate(qparam, i: int, remainder: int) -> int | None:
+    """A guess at the largest m with term(i, m) <= remainder, or None.
+
+    For m >> i the degree-i summand is close to C(m + a, i), with a = 1
+    at q = 2 and a = i otherwise (exactly C(m + i, i) at q = INFINITY
+    and for i < q).  C(N, i) is about (N - (i - 1)/2)^i / i!, which
+    inverts to N from log(remainder) and lgamma(i + 1), both defined
+    at any size.  The guess is given only where it lands above 2i,
+    below which the surrogate is poor, and where the root fits in a
+    float; it only picks where the exact probes start.
+    """
+    a = 1 if qparam == 2 else i
+    log_root = (math.log(remainder) + math.lgamma(i + 1)) / i
+    if log_root > _LOG_FLOAT_MAX:
+        return None
+    guess = int(math.exp(log_root) + (i - 1) / 2) - a
+    return guess if guess > 2 * i else None
+
+
+def _greedy_coefficient(fit, i: int, remainder: int, hi: int | None, qparam) -> tuple[int, int]:
     """Largest m in [-1, hi] with term(i, m) <= remainder, and term(i, m).
 
-    term(i, m) is a degree-i summand, strictly increasing in m for
-    i >= 1, 0 at m = -1 and 1 at m = 0; the probe fit(i, m, bound)
-    returns it when it is <= bound and None otherwise, and the remainder
-    is at least 1.  The answer's term is the value of the last probe
-    that fit, so no summand is evaluated twice.  With no bound the
-    bracket is found by doubling from 0.  A bound hi is probed first,
-    and the search then gallops down: hi - 1, hi - 3, hi - 7, ..., down
-    to the first probe that fits, and bisects only that last step.  An
-    answer g below hi thus takes at most 2 * g.bit_length() probes.
+    term(i, m) is a degree-i summand with respect to qparam, strictly
+    increasing in m for i >= 1, 0 at m = -1 and 1 at m = 0; the probe
+    fit(i, m, bound) returns it when it is <= bound and None otherwise,
+    and the remainder is at least 1.  The answer's term is the value of
+    the last probe that fit, so no summand is evaluated twice.  The
+    search keeps a bracket: lo fits (-1 at first, whose term is 0) and
+    hi misses, or is None with no bound.  A bound hi is probed first,
+    since many coefficients lie at it.  Then m = g + 1 is probed, for
+    the guess g of `_estimate`, if it lies inside the bracket.  From the
+    end of the bracket that a probe moved last (lo if neither moved and
+    there is no bound) the search gallops toward the other end: lo + 1,
+    lo + 3, lo + 7, ... up, or hi - 1, hi - 3, hi - 7, ... down, to the
+    first probe that crosses, and bisects only that last step.  An
+    answer that lies j from that end thus takes at most
+    2 * j.bit_length() probes after it.  The guess only steers: each
+    answer is settled by exact probes, a fit at it and a miss at the
+    next m (or the bound).
     """
-    if hi is None:
-        lo, lo_value, hi = -1, 0, 0
-        while (value := fit(i, hi, remainder)) is not None:
-            lo, lo_value, hi = hi, value, 2 * hi + 1
-    elif (value := fit(i, hi, remainder)) is not None:
+    if hi is not None and (value := fit(i, hi, remainder)) is not None:
         return hi, value
-    else:
-        lo, step = hi - 1, 2
-        while lo >= 0 and (value := fit(i, lo, remainder)) is None:
-            lo, hi, step = max(lo - step, -1), lo, 2 * step
-        lo_value = value if lo >= 0 else 0  # the summand at m = -1 is 0
+    lo, lo_value = -1, 0
+    guess = _estimate(qparam, i, remainder)
+    if guess is not None and lo < guess + 1 and (hi is None or guess + 1 < hi):
+        if (value := fit(i, guess + 1, remainder)) is None:
+            hi = guess + 1
+        else:
+            lo, lo_value = guess + 1, value
+    step = 1
+    if hi is None or lo >= 0:  # gallop up from lo
+        while hi is None or lo + step < hi:
+            if (value := fit(i, lo + step, remainder)) is None:
+                hi = lo + step
+                break
+            lo, lo_value, step = lo + step, value, 2 * step
+    else:  # gallop down from hi
+        while hi - step > lo:
+            if (value := fit(i, hi - step, remainder)) is not None:
+                lo, lo_value = hi - step, value
+                break
+            hi, step = hi - step, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if (value := fit(i, mid, remainder)) is None:
@@ -167,7 +220,7 @@ def _decompose(n: int, d: int, qparam, fit, top: int | None = None) -> tuple[int
     for i in range(d, 1, -1):
         if not remainder:
             break  # every summand is 0 at m = -1 and at least 1 above it
-        c, value = _greedy_coefficient(fit, i, remainder, hi)
+        c, value = _greedy_coefficient(fit, i, remainder, hi, qparam)
         remainder -= value
         coeffs.append(c)
         run = run + 1 if c == hi else 1
@@ -179,7 +232,8 @@ def _decompose(n: int, d: int, qparam, fit, top: int | None = None) -> tuple[int
         remainder -= c + 1
         coeffs.append(c)
         if remainder:
-            raise AssertionError(f"the terms of {tuple(coeffs)} leave {remainder} of n = {n}")
+            terms, left = tuple(map(_shown, coeffs)), _shown(remainder)
+            raise AssertionError(f"the terms of {terms} leave {left} of n = {_shown(n)}")
     return tuple(coeffs) + (-1,) * (d - len(coeffs))
 
 
@@ -198,8 +252,11 @@ def decompose(n: int, d: int, qparam, top: int | None = None) -> MacaulayRep:
     and passes it as `top` (an integer >= -1); a `top` below the true
     m_d raises AssertionError, as the terms then fall short of n.
     Every lower coefficient lies in [-1, m_{i+1}], or [-1, m_{i+1} - 1]
-    when it would end a run of q equal coefficients, and is found by
-    galloping down from that bound.
+    when it would end a run of q equal coefficients; the search probes
+    that bound, then just above a guess from the remainder, and gallops
+    from there (`_greedy_coefficient`).  At most MAX_DEGREE degrees are
+    taken, since all d coefficients are stored; a larger d raises
+    ValueError before the greedy runs.
     m_1 is the remainder minus one, capped by its bound, with no probe.
     A probe for finite q is `dims._rho_upto`, which skips the argument
     checks (q is checked here once, and the greedy makes i and m) and
@@ -210,6 +267,8 @@ def decompose(n: int, d: int, qparam, top: int | None = None) -> MacaulayRep:
     _check_qparam(qparam)
     if not (isinstance(n, int) and isinstance(d, int) and isinstance(top, (int, type(None)))):
         raise TypeError("n, d and top (if given) must be integers")
+    if d > MAX_DEGREE:
+        raise ValueError(f"d = {_shown(d)} exceeds the degree cap {MAX_DEGREE}")
     if n < 0:
         raise ValueError("n must be >= 0")
     if top is not None and top < -1:

@@ -84,7 +84,7 @@ def e_bars(params: CodeParams):
     coefficients above (`macaulay._decompose`, which keeps its sum check
     on every tail).  e_bar changes by the powers q^m_i of the tail less
     q^c.  The full greedy decomposes k - 1 < k = rho_q(d, m), so its m_d
-    is at most m - 1, and it gallops down from there.
+    is at most m - 1, the bound its search starts from.
 
     Probes read a memo of rho created by this call: the ranks of one
     code probe the same few (i, m_i) pairs over and over, so exact

@@ -387,7 +387,7 @@ sys.exit(main(sys.argv[1:]))
     ),
     (
         "macaulay --n 5 --d 100000000000 --q 2",
-        f"d = 100000000000 exceeds the degree cap {weights.MAX_WEIGHTS}",
+        f"d = 100000000000 exceeds the degree cap {macaulay.MAX_DEGREE}",
     ),
 ])
 def test_oversized_inputs_exit_on_a_cap_before_q_m_or_d_is_built(argv, message):
@@ -396,9 +396,9 @@ def test_oversized_inputs_exit_on_a_cap_before_q_m_or_d_is_built(argv, message):
 
 
 def test_macaulay_caps_d_before_the_greedy(capsys, monkeypatch):
-    monkeypatch.setattr(weights, "MAX_WEIGHTS", 3)
+    monkeypatch.setattr(macaulay, "MAX_DEGREE", 3)
     assert run(capsys, "macaulay", "--n", "5", "--d", "3", "--q", "2") == (0, "(2, 0, -1)\n", "")
-    monkeypatch.setattr("rmweights.cli.decompose", lambda *args: pytest.fail("decomposed"))
+    monkeypatch.setattr(macaulay, "_decompose", lambda *args: pytest.fail("decomposed"))
     code, out, err = run(capsys, "macaulay", "--n", "5", "--d", "4", "--q", "2")
     assert (code, out, err) == (2, "", "error: d = 4 exceeds the degree cap 3\n")
 

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmweights import macaulay
 from rmweights.dims import CodeParams, _rho_upto, rho
 from rmweights.macaulay import (
     INFINITY,
+    MAX_DEGREE,
     MacaulayRep,
     _binomial_fit,
     _decompose,
+    _estimate,
     compare,
     decompose,
     dim_term,
@@ -248,6 +251,137 @@ def test_greedy_probes_grow_with_the_log_of_each_gap(q):
             assert highest.get(i, -1) <= hi, (q, t, i, highest[i])
 
 
+def _searched_bounds(t, q):
+    """The bound hi that the greedy starts each coefficient of the tuple t
+    from, by degree: None for m_d (no `top`), else m_{i+1}, less one after
+    a run of q - 1 equal coefficients other than -1."""
+    d, run = len(t), None if q == INFINITY else q - 1
+    bounds = {d: None}
+    for i in range(1, d):
+        above = t[max(d - i - run, 0) : d - i] if run else ()
+        bounds[i] = t[d - i - 1] - (len(above) == run and len(set(above)) == 1 and above[0] >= 0)
+    return bounds
+
+
+def _steering_sweep():
+    """`_greedy_sweep`, and big n up to 10^200 with d up to 100."""
+    yield from _greedy_sweep()
+    rng = random.Random(20)
+    for q in (*SWEEP_QS, INFINITY):
+        for _ in range(5):
+            yield q, rng.randint(2, 100), rng.randint(1, 10 ** rng.randint(10, 200))
+
+
+# guesses at m_i from its bound hi and its true value c
+STEERS = {
+    "none": lambda hi, c: None,
+    "hi - 1": lambda hi, c: None if hi is None else hi - 1,
+    "c + 50": lambda hi, c: c + 50,
+    "c - 50": lambda hi, c: c - 50,
+}
+
+
+@pytest.mark.parametrize("steer", STEERS)
+def test_the_guess_only_steers_the_search(monkeypatch, steer):
+    # each coefficient is settled by exact probes, whatever the guess
+    cases = [(q, d, n, _decompose(n, d, q, _fit(q))) for q, d, n in _steering_sweep()]
+    case, guesses = {}, []
+
+    def estimate(qparam, i, remainder):
+        guesses.append(i)
+        return STEERS[steer](case["bounds"][i], case["t"][-i])
+
+    monkeypatch.setattr(macaulay, "_estimate", estimate)
+    for q, d, n, t in cases:
+        case.update(t=t, bounds=_searched_bounds(t, q))
+        assert _decompose(n, d, q, _fit(q)) == t, (steer, q, d, n)
+    assert len(guesses) > 1000
+
+
+def _count_searches(monkeypatch):
+    """Counters of the `_rho_upto` probes and the coefficient searches."""
+    counts = Counter()
+    search = macaulay._greedy_coefficient
+
+    def probe(*args):
+        counts["probes"] += 1
+        return _rho_upto(*args)
+
+    def greedy(*args):
+        counts["searches"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(macaulay, "_rho_upto", probe)
+    monkeypatch.setattr(macaulay, "_greedy_coefficient", greedy)
+    return counts
+
+
+@pytest.mark.parametrize("q, d, m, r, probes_without", [
+    (2, 500, 1000, 10**50, 703),
+    (3, 300, 400, None, 673),  # r = k // 3
+    (2, 100, 2000, None, 805),
+    (16, 200, 60, None, 263),
+])
+def test_the_guess_never_adds_probes_to_a_big_rank_query(monkeypatch, q, d, m, r, probes_without):
+    p = CodeParams(q, d, m)
+    r = r or p.dimension // 3
+    counts = _count_searches(monkeypatch)
+    weight = ghw(p, r)
+    probes_with = counts["probes"]
+    monkeypatch.setattr(macaulay, "_estimate", lambda *args: None)
+    counts.clear()
+    assert ghw(p, r) == weight
+    assert counts["probes"] == probes_without  # the gallop down from each bound alone
+    assert probes_with <= probes_without, (p, probes_with)
+
+
+def _bigint_queries():
+    """ghw queries like the benchmark's: 16 <= d <= 40 and k from 10^10
+    to 10^70 for each q, and 3 <= d <= q - 1 with m * d <= 24000."""
+    rng = random.Random(21)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for _ in range(4):
+            p = _code_of_dimension(q, rng.randint(16, 40), 10 ** rng.randint(10, 70))
+            yield p, rng.randint(1, p.dimension)
+    for q in (5, 8, 9):
+        for _ in range(4):
+            d = rng.randint(3, q - 1)
+            p = CodeParams(q, d, rng.randint(100, 24000 // d))
+            yield p, rng.randint(1, p.dimension)
+
+
+def test_searched_coefficients_take_at_most_3_probes_on_average(monkeypatch):
+    # the gallop down from each bound alone took 6.8 on these queries
+    counts = _count_searches(monkeypatch)
+    for p, r in _bigint_queries():
+        ghw(p, r)
+    assert counts["probes"] <= 3 * counts["searches"], counts
+
+
+def test_the_estimate_survives_every_float_edge():
+    # a remainder whose root overflows a float, a degree where lgamma
+    # takes big arguments, and a remainder of 1: no OverflowError and
+    # no math-domain ValueError, only no guess where none fits
+    reps = {q: decompose(10**5000, 3, q) for q in (2, INFINITY)}
+    assert [rep.coeffs[0].bit_length() for rep in reps.values()] == [5538, 5538]
+    assert decompose(10**5000, 3, 2, top=reps[2].coeffs[0] + 1) == reps[2]
+    assert decompose(10**100, 10**5, 2).coeffs[:3] == (332, 329, 326)
+    assert decompose(1, 10**5, 3).coeffs[:2] == (0, -1)
+    for q in (2, 3, INFINITY):
+        for i in (2, 3, 100, MAX_DEGREE, 10**11):
+            for remainder in (1, 2, 10**300, 10**5000):
+                guess = _estimate(q, i, remainder)
+                assert guess is None or (type(guess) is int and guess > 2 * i), (q, i, remainder)
+
+
+def test_decompose_caps_d_before_the_greedy():
+    # uncapped, the first padded and validated 10^11 coefficients
+    with pytest.raises(ValueError, match=f"d = 100000000000 exceeds the degree cap {MAX_DEGREE}"):
+        decompose(5, 10**11, 2)
+    with pytest.raises(ValueError, match="d = a 16610-bit integer exceeds the degree cap"):
+        decompose(5, 10**5000, 2)
+
+
 @pytest.mark.parametrize("q", [4, 5, INFINITY])
 def test_greedy_raises_when_its_top_bound_is_too_low(q):
     # 10^6 needs m_3 far above 3; the capped terms leave most of it
@@ -255,6 +389,9 @@ def test_greedy_raises_when_its_top_bound_is_too_low(q):
         _decompose(10**6, 3, q, _fit(q), 3)
     with pytest.raises(AssertionError, match="leave"):
         decompose(10**6, 3, q, top=3)
+    # n past the int -> str digit limit is named by its size
+    with pytest.raises(AssertionError, match="leave a 16610-bit integer of n = a 16610-bit"):
+        decompose(10**5000, 3, q, top=3)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, INFINITY])
