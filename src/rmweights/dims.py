@@ -179,3 +179,14 @@ class CodeParams:
     def dimension(self) -> int:
         """Code dimension rho_q(d, m)."""
         return rho(self.q, self.d, self.m)
+
+
+def _check_rank(params: CodeParams, r: int) -> int:
+    """k = rho_q(d, m) of params, once r is checked to be an integer in [1, k]."""
+    if not isinstance(r, int):
+        raise TypeError("r must be an integer")
+    k = params.dimension
+    if not 1 <= r <= k:
+        shown = _decimal_or(k, f"rho_{params.q}({params.d}, {params.m})")
+        raise ValueError(f"r must be in [1, {shown}]")
+    return k

@@ -32,6 +32,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, repeat
 from typing import Sequence
 
 from .dims import _decimal_or, _rho_upto, binomial, is_prime_power, rho
@@ -40,7 +41,8 @@ INFINITY = float("inf")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # degrees that `decompose` takes at most: it stores and checks all d
-# coefficients, whatever n is, so the cap keeps that near 80 MB
+# coefficients whatever n is, near 80 MB at the cap; the `macaulay`
+# command, which prints them all, peaks near 0.4 GB there (json 1.2 GB)
 MAX_DEGREE = 5 * 10**6
 
 
@@ -78,19 +80,15 @@ def validate(coeffs: Sequence[int], d: int, qparam) -> bool:
         raise TypeError("d and the coefficients must be integers")
     if len(coeffs) != d:
         raise ValueError(f"expected {d} coefficients, got {len(coeffs)}")
-    if min(coeffs, default=-1) < -1:
+    # coeffs runs m_d down to m_1, so it is nonincreasing and ends at its minimum
+    if any(map(operator.lt, coeffs, coeffs[1:])) or (d and coeffs[-1] < -1):
         return False
-    # coeffs runs m_d down to m_1, so it must be nonincreasing as stored
-    if any(map(operator.lt, coeffs, coeffs[1:])):
-        return False
-    if qparam != INFINITY:
-        step = qparam - 1
-        for i in range(1, d - step + 1):  # positions m_i and m_{i+q-1}
-            low = coeffs[d - i]
-            high = coeffs[d - i - step]
-            if not (high > low or high == low == -1):
-                return False
-    return True
+    # the spacing check relies on the ordering check above: in a
+    # nonincreasing tuple a window m_i, m_{i+q-1} fails only on an equal
+    # pair, and one whose lower entry is -1 always passes, so only the
+    # entries before the -1s are checked
+    live = coeffs[:d - coeffs.count(-1)]
+    return qparam == INFINITY or not any(map(operator.le, live, live[qparam - 1:]))
 
 
 @dataclass(frozen=True)
@@ -124,11 +122,10 @@ class MacaulayRep:
         return tuple(c + i for i, c in zip(range(self.d, 0, -1), self.coeffs))
 
     def term_values(self) -> tuple[int, ...]:
-        """The individual summands, highest degree first."""
-        return tuple(
-            dim_term(self.qparam, i, c)
-            for i, c in zip(range(self.d, 0, -1), self.coeffs)
-        )
+        """The individual summands, highest degree first; a -1 (they trail) gives 0 with no call."""
+        live = self.d - self.coeffs.count(-1)
+        terms = map(partial(dim_term, self.qparam), range(self.d, 0, -1), self.coeffs[:live])
+        return tuple(chain(terms, repeat(0, self.d - live)))
 
 
 def _estimate(qparam, i: int, remainder: int) -> int | None:

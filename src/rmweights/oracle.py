@@ -30,7 +30,7 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from .dims import CodeParams, _decimal_or, _smallest_prime_factor
+from .dims import CodeParams, _check_rank, _decimal_or, _smallest_prime_factor
 
 DEFAULT_TUPLE_CAP = 10**8
 DEFAULT_SUBSPACE_CAP = 10**7
@@ -430,12 +430,7 @@ def min_subspace_support(
     leading r - 1 supports is recomputed only when one of those rows
     changes.  Ground truth by definition; only viable at desk scale.
     """
-    if not isinstance(r, int):
-        raise TypeError("r must be an integer")
-    k, q = params.dimension, params.q
-    if not 1 <= r <= k:
-        shown = _decimal_or(k, f"rho_{q}({params.d}, {params.m})")
-        raise ValueError(f"r must be in [1, {shown}]")
+    k, q = _check_rank(params, r), params.q
     n_subspaces = _count_subspaces(k, r, q, cap)
 
     gen = rm_generator_matrix(params)

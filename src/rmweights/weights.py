@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 
-from .dims import CodeParams, _decimal_or, rho
+from .dims import CodeParams, _check_rank, _decimal_or, rho
 from .macaulay import INFINITY, MacaulayRep, _decompose, decompose
 
 # weights that `hierarchy` lists at most: its walk holds about 60 bytes a
@@ -53,13 +53,7 @@ def _rank_rep(params: CodeParams, r: int) -> MacaulayRep:
 
     rho_q(d, .) increases and k - r < k = rho_q(d, m), so m_d <= m - 1,
     the bound the greedy starts from."""
-    if not isinstance(r, int):
-        raise TypeError("r must be an integer")
-    k = params.dimension
-    if not 1 <= r <= k:
-        shown = _decimal_or(k, f"rho_{params.q}({params.d}, {params.m})")
-        raise ValueError(f"r must be in [1, {shown}]")
-    return decompose(k - r, params.d, params.q, top=params.m - 1)
+    return decompose(_check_rank(params, r) - r, params.d, params.q, top=params.m - 1)
 
 
 def e_bar(params: CodeParams, r: int) -> int:

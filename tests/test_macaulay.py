@@ -98,6 +98,32 @@ def test_validate_spacing_window():
     assert not validate((2, 2, 2, 2), 4, 3)
 
 
+def _validate_by_definition(coeffs, d, q):
+    """The conditions as written: every entry >= -1, nonincreasing as
+    stored, and each window m_i, m_{i+q-1} checked on its own."""
+    if min(coeffs, default=-1) < -1:
+        return False
+    if any(a < b for a, b in zip(coeffs, coeffs[1:])):
+        return False
+    if q != INFINITY:
+        for i in range(1, d - q + 2):
+            low, high = coeffs[d - i], coeffs[d - i - q + 1]
+            if not (high > low or high == low == -1):
+                return False
+    return True
+
+
+def test_validate_matches_its_definition_on_every_small_tuple():
+    # entries run from -2, so the lower bound and the ordering, which
+    # `validate`'s spacing check relies on, are exercised as well
+    for q in (2, 3, 4, 5, 7, INFINITY):
+        for d in range(6):
+            for c in itertools.product(range(-2, 4), repeat=d):
+                expected = _validate_by_definition(c, d, q)
+                assert validate(c, d, q) is expected, (c, q)
+                assert validate(list(c), d, q) is expected, (c, q)
+
+
 def test_rep_constructor_checks():
     rep = MacaulayRep(qparam=4, d=3, coeffs=(2, 0, 0))
     assert rep.term_values() == (10, 1, 1)
