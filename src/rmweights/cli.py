@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: dim, macaulay, ghw, hierarchy, table, verify.  Exit codes:
-0 success, 1 verification mismatch, 2 usage or validation error.  Big
-numbers are serialized as decimal strings in JSON output so nothing is
-ever squeezed through a double, and integers are read and printed in
-full whatever Python's int <-> str digit limit (`_all_digits`).
+0 success, 1 verification mismatch, 2 usage or validation error or a
+result too big for memory.  Big numbers are serialized as decimal
+strings in JSON output so nothing is ever squeezed through a double,
+and integers are read and printed in full whatever Python's int <-> str
+digit limit (`_all_digits`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
+from itertools import islice
 
 from . import oracle, weights
 from .dims import (
@@ -74,7 +76,12 @@ def _emit(path, fmt, doc, header, rows, lines) -> None:
     full at any size."""
     with _all_digits(), nullcontext(sys.stdout) if path is None else open(path, "w") as out:
         if fmt == "json":
-            print(json.dumps(doc(), indent=2), file=out)
+            # in slices of the encoder's chunks: neither the whole text
+            # nor one write per chunk (a system call on unbuffered stdout)
+            chunks = json.JSONEncoder(indent=2).iterencode(doc())
+            while text := "".join(islice(chunks, 4096)):
+                out.write(text)
+            print(file=out)
         elif fmt == "csv":
             print(header, file=out)
             for row in rows:
@@ -85,19 +92,19 @@ def _emit(path, fmt, doc, header, rows, lines) -> None:
                 print(line, file=out)
 
 
-def cmd_dim(args) -> int:
+# Every subcommand returns its report: its verdict, then `_emit`'s doc,
+# header, rows and lines.  `main` prints it and exits 0 on a true verdict,
+# 1 on a false one.
+def cmd_dim(args) -> tuple:
     params = CodeParams(args.q, args.d, args.m)
     value = params.dimension
-    _emit(
-        args.out, args.format,
-        doc=lambda: {"params": asdict(params), "rho": str(value)},
-        header="q,d,m,rho", rows=[(params.q, params.d, params.m, value)],
-        lines=lambda: [value],
+    return (
+        True, lambda: {"params": asdict(params), "rho": str(value)},
+        "q,d,m,rho", [(params.q, params.d, params.m, value)], lambda: [value],
     )
-    return 0
 
 
-def cmd_macaulay(args) -> int:
+def cmd_macaulay(args) -> tuple:
     qparam = _parse_qparam(args.q)
     rep = decompose(args.n, args.d, qparam)
 
@@ -116,49 +123,42 @@ def cmd_macaulay(args) -> int:
     def rows():
         yield from zip(range(rep.d, 0, -1), rep.coeffs, rep.term_values())
 
-    _emit(
-        args.out, args.format, doc=doc,
-        header="degree,coefficient,term", rows=rows(),
-        lines=lambda: ["(" + ", ".join(str(c) for c in rep.coeffs) + ")"],
+    return (
+        True, doc, "degree,coefficient,term", rows(),
+        lambda: ["(" + ", ".join(str(c) for c in rep.coeffs) + ")"],
     )
-    return 0
 
 
-def cmd_ghw(args) -> int:
+def cmd_ghw(args) -> tuple:
     params = CodeParams(args.q, args.d, args.m)
     eb = weights.e_bar(params, args.r)
     dr = params.length - eb
-    _emit(
-        args.out, args.format,
-        doc=lambda: {
+    return (
+        True, lambda: {
             "params": asdict(params),
             "r": args.r,
             "e_bar": str(eb),
             "d_r": str(dr),
         },
-        header="q,d,m,r,e_bar,d_r", rows=[(params.q, params.d, params.m, args.r, eb, dr)],
-        lines=lambda: [f"d_r = {dr} (e_bar = {eb})"],
+        "q,d,m,r,e_bar,d_r", [(params.q, params.d, params.m, args.r, eb, dr)],
+        lambda: [f"d_r = {dr} (e_bar = {eb})"],
     )
-    return 0
 
 
-def cmd_hierarchy(args) -> int:
+def cmd_hierarchy(args) -> tuple:
     params = CodeParams(args.q, args.d, args.m)
     h = weights.hierarchy(params)
-    _emit(
-        args.out, args.format,
-        doc=lambda: {
+    return (
+        True, lambda: {
             "params": asdict(params),
             "rho": str(len(h)),
             "weights": [str(w) for w in h],
         },
-        header="r,d_r", rows=enumerate(h, start=1),
-        lines=lambda: [" ".join(str(w) for w in h)],
+        "r,d_r", enumerate(h, start=1), lambda: [" ".join(str(w) for w in h)],
     )
-    return 0
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple:
     # parse every range, test every q and cap every code first, so bad
     # input is rejected before the header
     q_range = _parse_range(args.q)
@@ -186,8 +186,7 @@ def cmd_table(args) -> int:
             for r, w in enumerate(weights.hierarchy(params), start=1):
                 yield params.q, params.d, params.m, r, w
 
-    _emit(args.out, "csv", doc=None, header="q,d,m,r,d_r", rows=rows(), lines=None)
-    return 0
+    return True, None, "q,d,m,r,d_r", rows(), None
 
 
 def _verify_lex(params: CodeParams, cap: int, r) -> tuple:
@@ -196,11 +195,15 @@ def _verify_lex(params: CodeParams, cap: int, r) -> tuple:
     weights.check_hierarchy_cap(params)
     k = params.dimension
     column = oracle.e_bar_lex_column(params, cap)
-    if len(column) != k:
-        raise ValueError(f"the lex oracle lists {len(column)} tuples, not rho = {k}")
     # the greedy at every rank, and the digit walk of `hierarchy`
-    walk = (params.length - w for w in weights.hierarchy(params))
-    rows = list(zip(range(1, k + 1), weights.e_bars(params), walk, column))
+    greedy = list(weights.e_bars(params))
+    walk = [params.length - w for w in weights.hierarchy(params)]
+    for values, what in ((column, "the lex oracle lists {} tuples"),
+                         (greedy, "the greedy gives {} values"),
+                         (walk, "the walk gives {} values")):
+        if len(values) != k:  # zip would stop at a short column
+            raise ValueError(f"{what.format(len(values))}, not rho = {k}")
+    rows = list(zip(range(1, k + 1), greedy, walk, column))
     mismatches = [row for row in rows if not row[1] == row[2] == row[3]]
 
     def lines():
@@ -279,8 +282,8 @@ def _verify_dims(params: CodeParams, cap: int, r) -> tuple:
     )
 
 
-# verify's oracles: name -> (check, default --cap).  A check returns its verdict,
-# then `_emit`'s doc (its own JSON keys only), header, rows and lines.
+# verify's oracles: name -> (check, default --cap).  A check returns a
+# subcommand's report whose doc holds its own JSON keys only.
 _ORACLES = {
     "lex": (_verify_lex, oracle.DEFAULT_TUPLE_CAP),
     "exhaustive": (_verify_exhaustive, oracle.DEFAULT_SUBSPACE_CAP),
@@ -288,15 +291,14 @@ _ORACLES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     if args.r is not None and args.oracle != "exhaustive":
         raise ValueError(f"--r applies only to --oracle exhaustive, not --oracle {args.oracle}")
     check, default_cap = _ORACLES[args.oracle]
     cap = default_cap if args.cap is None else args.cap
     passed, keys, *report = check(CodeParams(args.q, args.d, args.m), cap, args.r)
     frame = {"oracle": args.oracle, "status": "pass" if passed else "fail"}
-    _emit(args.out, args.format, lambda: {**frame, **keys()}, *report)
-    return 0 if passed else 1
+    return (passed, lambda: {**frame, **keys()}, *report)
 
 
 @functools.cache
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, help="value or inclusive range like 1..4")
     p.add_argument("--d", help="value or range; defaults to 1..m(q-1)")
     p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_table, format="csv")
 
     p = sub.add_parser("verify", help="compare closed forms against a brute-force oracle")
     code(p)
@@ -364,10 +366,15 @@ def main(argv=None) -> int:
     with _all_digits():  # so --n and --r take integers of any size
         args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        passed, *report = args.func(args)
+        _emit(args.out, args.format, *report)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # its own message is empty
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -226,6 +226,30 @@ def test_out_failure_is_reported(capsys):
     assert err.startswith("error:")
 
 
+def test_table_out_writes_the_bytes_it_prints(tmp_path, capsys):
+    argv = ("table", "--q", "2..3", "--m", "1..2")
+    printed = run(capsys, *argv)
+    target = tmp_path / "table.csv"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert (0, target.read_text(), "") == printed
+
+
+def _break_the_greedy_at_rank_1(monkeypatch):
+    greedy = weights.e_bars
+    monkeypatch.setattr(weights, "e_bars", lambda p: (e + (r == 1) for r, e in enumerate(greedy(p), 1)))
+
+
+def test_failing_verify_writes_its_report_to_out(tmp_path, capsys, monkeypatch):
+    _break_the_greedy_at_rank_1(monkeypatch)
+    target = tmp_path / "report.txt"
+    argv = ("verify", "--q", "2", "--d", "1", "--m", "2", "--oracle", "lex")
+    assert run(capsys, *argv, "--out", str(target)) == (1, "", "")
+    assert target.read_text() == "MISMATCH r=1: e_bar=3 walk=2 oracle=2\nFAIL (1 mismatches / 3 ranks)\n"
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "report.txt"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_verify_lex(capsys):
     code, out, _ = run(
         capsys, "verify", "--q", "4", "--d", "3", "--m", "3", "--oracle", "lex"
@@ -361,11 +385,13 @@ def test_verify_dims_rejects_an_oversized_code_before_the_closed_forms():
     assert proc.stderr == f"error: q^m = 2^100000 exceeds the enumeration cap {10**8}\n"
 
 
-# the CLI in a child whose address space is capped at 1 GB, so that
-# 2^(10^10), a 1.25 GB integer, cannot be built there
-_MAIN_UNDER_1GB = """
+# the CLI in a child whose address space is capped at the bytes given
+# as its first argument; under 1 GB 2^(10^10), a 1.25 GB integer, cannot
+# be built
+_MAIN_UNDER = """
 import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+limit = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from rmweights.cli import main
 sys.exit(main(sys.argv[1:]))
 """
@@ -391,8 +417,17 @@ sys.exit(main(sys.argv[1:]))
     ),
 ])
 def test_oversized_inputs_exit_on_a_cap_before_q_m_or_d_is_built(argv, message):
-    proc = _run_python("-c", _MAIN_UNDER_1GB, *argv.split(), timeout=20)
+    proc = _run_python("-c", _MAIN_UNDER, str(10**9), *argv.split(), timeout=20)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "dim --q 2 --d 10000000000 --m 10000000000",  # rho = q^m
+    "ghw --q 2 --d 1 --m 10000000000 --r 1",  # e_bar sums 2^(m-1)
+])
+def test_a_result_too_big_for_memory_exits_2(argv):
+    proc = _run_python("-c", _MAIN_UNDER, str(250 * 10**6), *argv.split(), timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_macaulay_caps_d_before_the_greedy(capsys, monkeypatch):
@@ -424,9 +459,22 @@ def test_verify_lex_rejects_a_short_listing(capsys, monkeypatch):
     assert err == "error: the lex oracle lists 2 tuples, not rho = 3\n"
 
 
+@pytest.mark.parametrize("name, values, message", [
+    ("e_bars", lambda h: h[:-1], "the greedy gives 2 values"),
+    ("e_bars", lambda h: [*h, h[-1]], "the greedy gives 4 values"),
+    ("e_bars", lambda h: [], "the greedy gives 0 values"),
+    ("hierarchy", lambda h: h[1:], "the walk gives 2 values"),
+], ids=["greedy-short", "greedy-long", "greedy-empty", "walk-short"])
+def test_verify_lex_rejects_a_column_of_the_wrong_length(capsys, monkeypatch, name, values, message):
+    column = getattr(weights, name)
+    monkeypatch.setattr(weights, name, lambda p: iter(values(list(column(p)))))
+    code, out, err = run(capsys, "verify", "--q", "2", "--d", "1", "--m", "2", "--oracle", "lex")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}, not rho = 3\n"
+
+
 def test_verify_lex_names_the_walk_where_the_greedy_alone_is_wrong(capsys, monkeypatch):
-    greedy = weights.e_bars
-    monkeypatch.setattr(weights, "e_bars", lambda p: (e + (r == 1) for r, e in enumerate(greedy(p), 1)))
+    _break_the_greedy_at_rank_1(monkeypatch)
     code, out, _ = run(capsys, "verify", "--q", "2", "--d", "1", "--m", "2", "--oracle", "lex")
     assert (code, out) == (1, "MISMATCH r=1: e_bar=3 walk=2 oracle=2\nFAIL (1 mismatches / 3 ranks)\n")
 
