@@ -84,9 +84,9 @@ def _emit(path, fmt, doc, header, rows, lines) -> None:
             print(file=out)
         elif fmt == "csv":
             print(header, file=out)
-            for row in rows:
-                cells = (str(v).lower() if isinstance(v, bool) else str(v) for v in row)
-                print(",".join(cells), file=out)
+            for row in rows:  # one write per row, where print writes each argument and end
+                cells = [str(v).lower() if isinstance(v, bool) else str(v) for v in row]
+                out.write(",".join(cells) + "\n")
         else:
             for line in lines():
                 print(line, file=out)
@@ -197,7 +197,8 @@ def _verify_lex(params: CodeParams, cap: int, r) -> tuple:
     column = oracle.e_bar_lex_column(params, cap)
     # the greedy at every rank, and the digit walk of `hierarchy`
     greedy = list(weights.e_bars(params))
-    walk = [params.length - w for w in weights.hierarchy(params)]
+    n = params.length  # a property that computes q^m: read it once
+    walk = [n - w for w in weights.hierarchy(params)]
     for values, what in ((column, "the lex oracle lists {} tuples"),
                          (greedy, "the greedy gives {} values"),
                          (walk, "the walk gives {} values")):

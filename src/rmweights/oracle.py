@@ -14,12 +14,13 @@ Three oracles, each deliberately naive:
 
 Naive means every tuple and every subspace is visited, and none of the
 closed forms is called; the per-element work runs in C where it can
-(`bytes.translate` over digit sums, big-integer support masks).
+(`bytes.translate` over digit sums, codewords and supports as integers).
 
 Field arithmetic uses full lookup tables.  Extension fields are built
 modulo pinned irreducible polynomials: x^2+x+1 for GF(4), x^3+x+1 for
 GF(8), x^2+1 for GF(9), x^4+x+1 for GF(16).  The field axioms are
-re-verified exhaustively every time a table is constructed.
+re-verified exhaustively every time a table is constructed, which
+`build_field` does once per q per process.
 """
 
 from __future__ import annotations
@@ -83,27 +84,28 @@ class FieldTable:
             self.degree += 1
 
         if self.degree == 1:
-            self.add_table = [[(a + b) % q for b in range(q)] for a in range(q)]
-            self.mul_table = [[a * b % q for b in range(q)] for a in range(q)]
+            add = [[(a + b) % q for b in range(q)] for a in range(q)]
+            mul = [[a * b % q for b in range(q)] for a in range(q)]
         else:
             irr = _IRREDUCIBLE[q]
             p, k = self.p, self.degree
             digits = [[(i // p**j) % p for j in range(k)] for i in range(q)]
             undig = lambda ds: sum(c * p**j for j, c in enumerate(ds))
-            self.add_table = [[undig((x + y) % p for x, y in zip(da, db)) for db in digits]
-                              for da in digits]
-            self.mul_table = [[undig(_poly_mul_mod(da, db, irr, p)) for db in digits]
-                              for da in digits]
+            add = [[undig((x + y) % p for x, y in zip(da, db)) for db in digits] for da in digits]
+            mul = [[undig(_poly_mul_mod(da, db, irr, p)) for db in digits] for da in digits]
+        # tuples, as `build_field` shares one field per q among all callers
+        self.add_table = tuple(map(tuple, add))
+        self.mul_table = tuple(map(tuple, mul))
         self._check_axioms()
 
-        self.neg_table = [row.index(0) for row in self.add_table]
-        self.inv_table = [0] + [row.index(1) for row in self.mul_table[1:]]
+        self.neg_table = tuple(row.index(0) for row in self.add_table)
+        self.inv_table = (0,) + tuple(row.index(1) for row in self.mul_table[1:])
         # translate tables: byte a*q + b -> a+b or a*b (q <= 16, so
         # a*q + b <= 255), and byte b -> a*b for each a
         pad = lambda cells: bytes(cells).ljust(256, b"\0")
         self._add_pairs = pad(x for row in self.add_table for x in row)
         self._mul_pairs = pad(x for row in self.mul_table for x in row)
-        self._scale = [pad(row) for row in self.mul_table]
+        self._scale = tuple(pad(row) for row in self.mul_table)
 
     def _check_axioms(self):
         A, M, R = self.add_table, self.mul_table, range(self.q)
@@ -161,8 +163,10 @@ class FieldTable:
         return f"FieldTable(q={self.q})"
 
 
+@functools.cache  # at most len(SUPPORTED_Q) entries: FieldTable raises for any other q
 def build_field(q: int) -> FieldTable:
-    """Construct (and exhaustively self-check) the GF(q) lookup tables."""
+    """The GF(q) lookup tables, built (and exhaustively self-checked) on
+    the first call for q and shared, immutable, by every later one."""
     return FieldTable(q)
 
 
@@ -425,18 +429,29 @@ def min_subspace_support(
     the free entries (right of a row's pivot, outside the pivot columns)
     run through every field value in Gray order (`_gray_steps`, the last
     row's last free column fastest), so consecutive bases differ in one
-    entry (i, j): row i's codeword gains (new - old) * g_j, one scale,
-    one add and one translate to its support int.  The union of the
-    leading r - 1 supports is recomputed only when one of those rows
-    changes.  Ground truth by definition; only viable at desk scale.
+    entry (i, j): row i's codeword gains (new - old) * g_j, one scale of
+    g_j and one add.  A codeword is the integer of its bytes, one byte
+    per coordinate.  In characteristic 2 an element's bits are its
+    coefficients over F_2, so the add is a xor; for odd p one
+    multiply-add packs the pairs x_t*q + y_t and one translate maps
+    them.  Elements are below 16, so adding 0x7f to every byte carries
+    into none and sets a byte's top bit iff it is nonzero: its support
+    mask.  The union of the leading r - 1 supports is recomputed only
+    when one of those rows changes.  Ground truth by definition; only
+    viable at desk scale.
     """
     k, q = _check_rank(params, r), params.q
     n_subspaces = _count_subspaces(k, r, q, cap)
 
     gen = rm_generator_matrix(params)
-    field, g = gen.field, gen.rows
-    vadd, vscale, from_bytes = field.vadd, field.vscale, int.from_bytes
-    nonzero = bytes([0]) + bytes([1]) * 255  # translate: element -> 1 if nonzero
+    field, g, n = gen.field, gen.rows, params.length
+    vscale, from_bytes = field.vscale, int.from_bytes
+    if field.p == 2:
+        add = operator.xor
+    else:
+        pairs = field._add_pairs
+        add = lambda x, y: from_bytes((x * q + y).to_bytes(n, "big").translate(pairs), "big")
+    low, high = from_bytes(b"\x7f" * n, "big"), from_bytes(b"\x80" * n, "big")
     # diff[new][old] = new - old in GF(q)
     diff = [[field.add(b, field.neg(a)) for a in range(q)] for b in range(q)]
 
@@ -448,16 +463,16 @@ def min_subspace_support(
         # each free entry (i, j) as row i and the generator row g_j
         free = [(i, g[j]) for i in range(r) for j in range(pivots[i] + 1, k) if j not in pivot_set]
         # every free entry starts at 0, so row i encodes to g_(pivot i)
-        rows = [g[p] for p in pivots]
-        supports = [from_bytes(cw.translate(nonzero), "big") for cw in rows]
+        rows = [from_bytes(g[p], "big") for p in pivots]
+        supports = [(cw + low) & high for cw in rows]
         head = functools.reduce(operator.or_, supports[:last], 0)
         best = min(best, (head | supports[last]).bit_count())
         seen += 1
         for pos, old, new in _gray_steps(q, len(free)):
             i, gj = free[pos]
             c = diff[new][old]
-            rows[i] = cw = vadd(rows[i], gj if c == 1 else vscale(c, gj))
-            supports[i] = from_bytes(cw.translate(nonzero), "big")
+            rows[i] = cw = add(rows[i], from_bytes(gj if c == 1 else vscale(c, gj), "big"))
+            supports[i] = (cw + low) & high
             if i != last:
                 head = functools.reduce(operator.or_, supports[:last], 0)
             count = (head | supports[last]).bit_count()

@@ -63,6 +63,8 @@ def test_all_supported_fields_pass_self_check():
         # nonzero rows of the multiplication table are permutations
         for a in range(1, q):
             assert sorted(int(x) for x in f.mul_table[a]) == list(range(q))
+        if f.p == 2:  # a label's bits are its coefficients over F_2: the scan adds by xor
+            assert f.add_table == tuple(tuple(a ^ b for b in range(q)) for a in range(q))
 
 
 def test_vector_ops_match_the_tables():
@@ -78,10 +80,31 @@ def test_vector_ops_match_the_tables():
 
 
 def test_self_check_detects_tampering():
-    f = build_field(4)
-    f.mul_table[2][3] = 2
+    # a field of its own: the one build_field shares must stay intact
+    f = FieldTable(4)
+    tampered = [list(row) for row in f.mul_table]
+    tampered[2][3] = 2
+    f.mul_table = tuple(map(tuple, tampered))
     with pytest.raises(ValueError, match="field axioms"):
         f._check_axioms()
+
+
+def test_build_field_shares_one_immutable_field_per_q():
+    for q in SUPPORTED_Q:
+        f = build_field(q)
+        assert build_field(q) is f
+        for table in (f.add_table, f.mul_table, f._scale):
+            with pytest.raises(TypeError):
+                table[1] = table[0]
+        with pytest.raises(TypeError):
+            f.mul_table[1][0] = 1
+        for table in (f.neg_table, f.inv_table):
+            with pytest.raises(TypeError):
+                table[1] = 0
+    for _ in range(2):  # a call that raises is not cached
+        with pytest.raises(ValueError, match="unsupported"):
+            build_field(6)
+    assert build_field.cache_info().currsize <= len(SUPPORTED_Q)
 
 
 def test_field_errors():
@@ -228,13 +251,15 @@ def test_generator_matrix_caps():
 
 @pytest.mark.parametrize(
     "params, r",
-    [(CodeParams(2, 1, 16), None), (CodeParams(16, 6, 3), 84), (CodeParams(2, 8, 9), 511)],
+    [(CodeParams(2, 1, 16), None), (CodeParams(16, 6, 3), 84), (CodeParams(2, 8, 9), 511),
+     (CodeParams(16, 1, 3), 1)],
     ids=str,
 )
 def test_generator_matrix_memory_stays_near_its_cells(params, r):
     # the cell cap bounds memory only if nothing else grows past the
-    # matrix: no listing of the points, no scaled copies of its rows, and
-    # a top-rank basis (k x k, with k close to q^m) of one byte per entry
+    # matrix: no listing of the points, no scaled copies of its rows (the
+    # rank-1 scan on GF(16) scales free rows by every c != 1), and a
+    # top-rank basis (k x k, with k close to q^m) of one byte per entry
     tracemalloc.start()
     try:
         if r is None:
@@ -358,7 +383,11 @@ def test_min_subspace_support_matches_the_per_basis_loop(q, d, m):
         assert min_subspace_support(p, r) == _per_basis_min_support(p, r), (p, r)
 
 
-@pytest.mark.parametrize("q, d, m", [(2, 2, 3), (2, 1, 4), (3, 2, 2), (4, 1, 2), (8, 1, 1)])
+@pytest.mark.parametrize(
+    "q, d, m",
+    [(2, 2, 3), (2, 1, 4), (3, 2, 2), (4, 1, 2), (8, 1, 1), (5, 1, 2), (7, 1, 2), (9, 1, 1),
+     (16, 1, 1)],
+)
 def test_min_subspace_support_matches_the_per_basis_loop_on_random_matrices(q, d, m, monkeypatch):
     # random matrices in place of the generator matrix, so a minimum need
     # not sit at a basis whose leading rows have all free entries 0: the
