@@ -11,6 +11,7 @@ digit limit (`_all_digits`).
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -68,12 +69,11 @@ def _emit(path, fmt, doc, header, rows, lines) -> None:
     The file is opened here, once the command has its result, so a
     command that fails before it leaves an existing file as it was.
     json prints the document built by the zero-argument callable `doc`;
-    csv prints `header` and then each row joined by commas, with bools
-    as true/false; plain prints each line that the zero-argument
-    callable `lines` returns.  `rows` may be a generator, so no format
-    builds another format's output.  Numbers are formatted only here,
-    with the digit limit lifted (`_all_digits`), so a result prints in
-    full at any size."""
+    csv prints `header` and then each row's cells as they are given;
+    plain prints each line that the zero-argument callable `lines`
+    returns.  `rows` may be a generator, so no format builds another
+    format's output.  Numbers are formatted only here, with the digit
+    limit lifted (`_all_digits`), so a result prints in full at any size."""
     with _all_digits(), nullcontext(sys.stdout) if path is None else open(path, "w") as out:
         if fmt == "json":
             # in slices of the encoder's chunks: neither the whole text
@@ -84,9 +84,7 @@ def _emit(path, fmt, doc, header, rows, lines) -> None:
             print(file=out)
         elif fmt == "csv":
             print(header, file=out)
-            for row in rows:  # one write per row, where print writes each argument and end
-                cells = [str(v).lower() if isinstance(v, bool) else str(v) for v in row]
-                out.write(",".join(cells) + "\n")
+            csv.writer(out, lineterminator="\n").writerows(rows)
         else:
             for line in lines():
                 print(line, file=out)
@@ -224,7 +222,8 @@ def _verify_lex(params: CodeParams, cap: int, r) -> tuple:
                 for r, a, w, b in mismatches
             ],
         },
-        "r,e_bar,oracle,match", ((r, a, b, a == w == b) for r, a, w, b in rows), lines,
+        "r,e_bar,oracle,match",
+        ((r, a, b, "true" if a == w == b else "false") for r, a, w, b in rows), lines,
     )
 
 
@@ -255,7 +254,8 @@ def _verify_exhaustive(params: CodeParams, cap: int, r) -> tuple:
                 for s, a, b in rows
             ],
         },
-        "r,formula,exhaustive,match", ((s, a, b, a == b) for s, a, b in rows), lines,
+        "r,formula,exhaustive,match",
+        ((s, a, b, "true" if a == b else "false") for s, a, b in rows), lines,
     )
 
 
@@ -284,7 +284,10 @@ def _verify_dims(params: CodeParams, cap: int, r) -> tuple:
 
 
 # verify's oracles: name -> (check, default --cap).  A check returns a
-# subcommand's report whose doc holds its own JSON keys only.
+# subcommand's report whose doc holds its own JSON keys only.  lex tests
+# `e_bars`, whose greedy reads exact rho from a memo, and the digit walk:
+# only exhaustive, through `weights.ghw`, runs the bounded probe that
+# `ghw`, `e_bar` and `decompose` use (`dims._rho_upto` with a finite bound).
 _ORACLES = {
     "lex": (_verify_lex, oracle.DEFAULT_TUPLE_CAP),
     "exhaustive": (_verify_exhaustive, oracle.DEFAULT_SUBSPACE_CAP),

@@ -76,7 +76,7 @@ def validate(coeffs: Sequence[int], d: int, qparam) -> bool:
     ValueError.
     """
     _check_qparam(qparam)
-    if not isinstance(d, int) or not all(isinstance(c, int) for c in coeffs):
+    if not isinstance(d, int) or not all(map(isinstance, coeffs, repeat(int))):
         raise TypeError("d and the coefficients must be integers")
     if len(coeffs) != d:
         raise ValueError(f"expected {d} coefficients, got {len(coeffs)}")

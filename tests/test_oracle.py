@@ -259,7 +259,10 @@ def test_generator_matrix_memory_stays_near_its_cells(params, r):
     # the cell cap bounds memory only if nothing else grows past the
     # matrix: no listing of the points, no scaled copies of its rows (the
     # rank-1 scan on GF(16) scales free rows by every c != 1), and a
-    # top-rank basis (k x k, with k close to q^m) of one byte per entry
+    # top-rank basis (k x k, with k close to q^m) of one byte per entry;
+    # the shared field is built first, so its tables (about 11 KB for
+    # GF(16)) count against no matrix whatever test built it before
+    build_field(params.q)
     tracemalloc.start()
     try:
         if r is None:
