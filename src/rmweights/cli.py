@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: dim, macaulay, ghw, hierarchy, table, verify.  Exit codes:
-0 success, 1 verification mismatch, 2 usage or validation error or a
-result too big for memory.  Big numbers are serialized as decimal
-strings in JSON output so nothing is ever squeezed through a double,
-and integers are read and printed in full whatever Python's int <-> str
-digit limit (`_all_digits`).
+0 success, 1 verification mismatch or a failed internal check, 2 usage
+or validation error or a result too big for memory.  Big numbers are
+serialized as decimal strings in JSON output so nothing is ever
+squeezed through a double, and integers are read and printed in full
+whatever Python's int <-> str digit limit (`_all_digits`).
 """
 
 from __future__ import annotations
@@ -285,9 +285,8 @@ def _verify_dims(params: CodeParams, cap: int, r) -> tuple:
 
 # verify's oracles: name -> (check, default --cap).  A check returns a
 # subcommand's report whose doc holds its own JSON keys only.  lex tests
-# `e_bars`, whose greedy reads exact rho from a memo, and the digit walk:
-# only exhaustive, through `weights.ghw`, runs the bounded probe that
-# `ghw`, `e_bar` and `decompose` use (`dims._rho_upto` with a finite bound).
+# `e_bars` and the digit walk, exhaustive tests `weights.ghw`: both run
+# the bounded probe of `decompose` (`macaulay._probe`) at each rank checked.
 _ORACLES = {
     "lex": (_verify_lex, oracle.DEFAULT_TUPLE_CAP),
     "exhaustive": (_verify_exhaustive, oracle.DEFAULT_SUBSPACE_CAP),
@@ -378,6 +377,9 @@ def main(argv=None) -> int:
     except MemoryError:  # its own message is empty
         print("error: out of memory", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # a sum or count check of the library
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
     return 0 if passed else 1
 
 

@@ -65,8 +65,8 @@ def rho(q: int, d: int, m: int) -> int:
     Conventions: 0 for d < 0 or m = -1, and 1 for d >= 0, m = 0.  For
     d >= m(q-1) the code fills the whole space, so the value is q^m.
     A call costs min(m, d/q) + 1 terms and checks its arguments first,
-    before any early return.  Nothing is memoized here; a loop over the
-    ranks of one code memoizes for itself (`weights.e_bars`).
+    before any early return.  Nothing is memoized; the Macaulay greedy
+    probes `_rho_upto` with a bound instead.
     """
     _check_args(q, d, m)
     return _rho_upto(q, d, m, math.inf)  # never None; q^m would cost a power at big m

@@ -17,10 +17,9 @@ guess that the remainder gives (`_estimate`, a float inversion of a
 binomial that stands in for the summand) and gallops from there.  The
 guess only picks where the exact probes start, so no float reaches a
 coefficient.  m_1 needs no search, as every degree-1 summand is
-m_1 + 1.  For finite q, `decompose` probes with `dims._rho_upto`, which
-gives up on the first partial sum of rho's inclusion-exclusion formula
-past the bound; a caller that decomposes many integers with one q can
-instead probe a memo of the summands (`weights.e_bars`).  The greedy
+m_1 + 1.  `_probe` picks the one probe of every greedy in the package:
+for finite q `dims._rho_upto`, which gives up on the first partial sum
+of rho's inclusion-exclusion formula past the bound.  The greedy
 returns the bare coefficient tuple; `decompose` is the one place that
 wraps it in a `MacaulayRep`, whose constructor validates it.
 """
@@ -240,6 +239,12 @@ def _binomial_fit(i: int, m: int, bound: int) -> int | None:
     return value if value <= bound else None
 
 
+def _probe(qparam):
+    """The probe fit(i, m, bound) of the greedy for a checked qparam:
+    `_binomial_fit` at INFINITY, else `dims._rho_upto` with q bound."""
+    return _binomial_fit if qparam == INFINITY else partial(_rho_upto, qparam)
+
+
 def decompose(n: int, d: int, qparam, top: int | None = None) -> MacaulayRep:
     """Compute the d-th Macaulay representation of n with respect to qparam.
 
@@ -270,8 +275,7 @@ def decompose(n: int, d: int, qparam, top: int | None = None) -> MacaulayRep:
         raise ValueError("n must be >= 0")
     if top is not None and top < -1:
         raise ValueError("top must be >= -1")
-    fit = _binomial_fit if qparam == INFINITY else partial(_rho_upto, qparam)
-    return MacaulayRep(qparam, d, _decompose(n, d, qparam, fit, top))
+    return MacaulayRep(qparam, d, _decompose(n, d, qparam, _probe(qparam), top))
 
 
 def recompose(coeffs, d: int | None = None, qparam=None) -> int:

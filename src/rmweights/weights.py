@@ -8,24 +8,24 @@ minus that.  `e_bar`, `ghw` and `mu_tuple` run that greedy for one
 rank, through the checked `decompose`, bounded by m_d <= m - 1.
 `e_bars` runs it once in full for the first rank of one code and then
 steps from each representation to the next, re-running the greedy only
-on the tail that changes, with the rho values memoized for that call
-only; it reads the bare coefficient tuples.  `hierarchy` runs none: the
-representations of k-1, ..., 0 map to the digit tuples with digit sum
-<= d in descending lex order (Heijnen & Pellikaan, IEEE Trans. IT
-44(1), 1998), so it lists the whole hierarchy in one walk over those
-tuples.
+on the tail that changes, through the same bounded probe
+(`macaulay._probe`); it reads the bare coefficient tuples.  `hierarchy`
+runs none: the representations of k-1, ..., 0 map to the digit tuples
+with digit sum <= d in descending lex order (Heijnen & Pellikaan, IEEE
+Trans. IT 44(1), 1998), so it lists the whole hierarchy in one walk
+over those tuples.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice
 
-from .dims import CodeParams, _check_rank, _decimal_or, rho
-from .macaulay import INFINITY, MacaulayRep, _decompose, decompose
+from .dims import CodeParams, _check_rank, _decimal_or
+from .macaulay import INFINITY, MacaulayRep, _decompose, _probe, decompose
 
 # weights that `hierarchy` lists at most: its walk holds about 60 bytes a
 # weight, so a capped hierarchy stays near 300 MB
@@ -67,41 +67,29 @@ def e_bar(params: CodeParams, r: int) -> int:
 def e_bars(params: CodeParams):
     """Yield e_bar(params, r) for r = 1, ..., rho_q(d, m), in that order.
 
-    The same greedy as `e_bar`, run once in full, for n = k - 1, and
-    then resumed from each n to n - 1.  Let c, at degree i, be the last
-    coefficient of n's tuple that is not -1, so its summand ends the
-    sum.  The greedy for n - 1 makes the same choices above c, since
-    each remainder there leaves at least that summand, so at least 1,
-    after its own summand.  What is left for degrees i..1 is the summand
-    of c less 1, below the summand of c: the greedy runs on it alone,
-    with top c - 1, and no spacing run carries over from the
+    The same greedy as `e_bar`, resumed from each n to n - 1, starting
+    from n = k, whose tuple is (m, -1, ..., -1).  Let c, at degree i, be
+    the last coefficient of n's tuple that is not -1, so its summand
+    ends the sum.  The greedy for n - 1 makes the same choices above c,
+    since each remainder there leaves at least that summand, so at
+    least 1, after its own summand.  What is left for degrees i..1 is
+    the summand of c less 1, below the summand of c: the greedy runs on
+    it alone, with top c - 1, and no spacing run carries over from the
     coefficients above (`macaulay._decompose`, which keeps its sum check
     on every tail).  e_bar changes by the powers q^m_i of the tail less
-    q^c.  The full greedy decomposes k - 1 < k = rho_q(d, m), so its m_d
-    is at most m - 1, the bound its search starts from.
+    q^c.  From k the tail is the full greedy for k - 1, with top m - 1.
 
-    Probes read a memo of rho created by this call: the ranks of one
-    code probe the same few (i, m_i) pairs over and over, so exact
-    values beat the partial sums of `decompose`.  A probe has degree
-    i <= d and coefficient -1 <= m_i <= m - 1, so the memo stays below
-    d(m + 1) entries, and it is dropped with the generator.
+    Every probe is the bounded one of `decompose` (`macaulay._probe`);
+    the summand of c that starts a tail is that probe with no bound.
     """
     q, d, m = params.q, params.d, params.m
-    term = cache(lambda i, c: rho(q, i, c))
-
-    def fit(i, c, bound):
-        value = term(i, c)
-        return value if value <= bound else None
-
-    powers = [q**c for c in range(m)] + [0]  # q^c for every m_i, and 0 at m_i = -1
-    n = params.dimension - 1
-    coeffs = _decompose(n, d, q, fit, m - 1)
-    value = sum(map(powers.__getitem__, coeffs))
-    yield value
-    for _ in range(n):
+    fit = _probe(q)
+    powers = [q**c for c in range(m + 1)] + [0]  # q^c for every m_i, and 0 at m_i = -1
+    coeffs, value = (m,) + (-1,) * (d - 1), powers[m]  # rank 0: n = k, e_bar = q^m
+    for _ in range(params.dimension):
         j = d - 1 - coeffs.count(-1)  # c is the last entry >= 0; the -1s trail
         i, c = d - j, coeffs[j]
-        tail = _decompose(term(i, c) - 1, i, q, fit, c - 1)
+        tail = _decompose(fit(i, c, math.inf) - 1, i, q, fit, c - 1)
         coeffs = coeffs[:j] + tail
         value += sum(map(powers.__getitem__, tail)) - powers[c]
         yield value

@@ -250,6 +250,26 @@ def test_failing_verify_writes_its_report_to_out(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--q", "2", "--d", "3", "--m", "5", "--oracle", "lex"),
+    ("verify", "--q", "2", "--d", "2", "--m", "4", "--oracle", "exhaustive"),
+])
+def test_verify_catches_a_broken_bounded_probe(capsys, monkeypatch, argv):
+    # lex and exhaustive both run the bounded probe of `decompose`, so a
+    # probe that misses a summand it should fit trips the greedy's sum
+    # check, which ends as a failed check with exit 1, not a traceback
+    probe = macaulay._rho_upto
+
+    def broken(q, i, m, bound):
+        return None if (i, m) == (2, 3) and bound != float("inf") else probe(q, i, m, bound)
+
+    monkeypatch.setattr(macaulay, "_rho_upto", broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "PASS" not in out
+    assert err.startswith("error: internal check failed:")
+
+
 def test_verify_lex(capsys):
     code, out, _ = run(
         capsys, "verify", "--q", "4", "--d", "3", "--m", "3", "--oracle", "lex"

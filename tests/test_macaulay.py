@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,6 @@ from rmweights.macaulay import (
     INFINITY,
     MAX_DEGREE,
     MacaulayRep,
-    _binomial_fit,
     _decompose,
     _estimate,
     compare,
@@ -211,7 +209,7 @@ def test_decompose_matches_the_full_evaluation_greedy():
 
 def _fit(q):
     """The probe that `decompose` makes: the summand if it is <= bound, else None."""
-    return _binomial_fit if q == INFINITY else partial(_rho_upto, q)
+    return macaulay._probe(q)
 
 
 def _greedy_sweep():
