@@ -2,10 +2,13 @@
 
 The closed-form route goes through Macaulay representations of integers
 with respect to q; the `oracle` module carries the brute-force
-counterparts used to verify it.
+counterparts used to verify it, and is imported on first use of
+`rmweights.oracle`, so the closed forms load without it.
 """
 
-from . import dims, macaulay, oracle, weights
+import importlib
+
+from . import dims, macaulay, weights
 from .dims import (
     CodeParams,
     binomial,
@@ -27,6 +30,14 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # importing the submodule binds it on the package, so this runs once
+    if name == "oracle":
+        return importlib.import_module(".oracle", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CodeParams",

@@ -193,7 +193,7 @@ def _verify_lex(params: CodeParams, cap: int, r) -> tuple:
     weights.check_hierarchy_cap(params)
     k = params.dimension
     column = oracle.e_bar_lex_column(params, cap)
-    # the greedy at every rank, and the digit walk of `hierarchy`
+    # the greedy at every rank, and the digit-sum pass of `hierarchy`
     greedy = list(weights.e_bars(params))
     n = params.length  # a property that computes q^m: read it once
     walk = [n - w for w in weights.hierarchy(params)]
@@ -285,7 +285,7 @@ def _verify_dims(params: CodeParams, cap: int, r) -> tuple:
 
 # verify's oracles: name -> (check, default --cap).  A check returns a
 # subcommand's report whose doc holds its own JSON keys only.  lex tests
-# `e_bars` and the digit walk, exhaustive tests `weights.ghw`: both run
+# `e_bars` and `hierarchy`, exhaustive tests `weights.ghw`: both run
 # the bounded probe of `decompose` (`macaulay._probe`) at each rank checked.
 _ORACLES = {
     "lex": (_verify_lex, oracle.DEFAULT_TUPLE_CAP),

@@ -14,14 +14,15 @@ bound each coefficient from above: by the one above it, and by one less
 after a run of q - 1 equal coefficients.  The search probes that bound
 first, since many coefficients lie at it; then it probes just above a
 guess that the remainder gives (`_estimate`, a float inversion of a
-binomial that stands in for the summand) and gallops from there.  The
-guess only picks where the exact probes start, so no float reaches a
-coefficient.  m_1 needs no search, as every degree-1 summand is
-m_1 + 1.  `_probe` picks the one probe of every greedy in the package:
-for finite q `dims._rho_upto`, which gives up on the first partial sum
-of rho's inclusion-exclusion formula past the bound.  The greedy
-returns the bare coefficient tuple; `decompose` is the one place that
-wraps it in a `MacaulayRep`, whose constructor validates it.
+binomial that stands in for the summand, or an integer one past the
+float range) and gallops from there.  The guess only picks where the
+exact probes start, so no float reaches a coefficient.  m_1 needs no
+search, as every degree-1 summand is m_1 + 1.  `_probe` picks the one
+probe of every greedy in the package: for finite q `dims._rho_upto`,
+which gives up on the first partial sum of rho's inclusion-exclusion
+formula past the bound.  The greedy returns the bare coefficient
+tuple; `decompose` is the one place that wraps it in a `MacaulayRep`,
+whose constructor validates it.
 """
 
 from __future__ import annotations
@@ -134,16 +135,32 @@ def _estimate(qparam, i: int, remainder: int) -> int | None:
     at q = 2 and a = i otherwise (exactly C(m + i, i) at q = INFINITY
     and for i < q).  C(N, i) is about (N - (i - 1)/2)^i / i!, which
     inverts to N from log(remainder) and lgamma(i + 1), both defined
-    at any size.  The guess is given only where it lands above 2i,
-    below which the surrogate is poor, and where the root fits in a
-    float; it only picks where the exact probes start.
+    at any size.  Where that root overflows a float, it is the exact
+    integer root of remainder * i! (`_iroot`) instead, which costs
+    several times the float's and so is kept to that range.  The guess
+    is given only where it lands above 2i, below which the surrogate is
+    poor; it only picks where the exact probes start.
     """
     a = 1 if qparam == 2 else i
     log_root = (math.log(remainder) + math.lgamma(i + 1)) / i
     if log_root > _LOG_FLOAT_MAX:
-        return None
-    guess = int(math.exp(log_root) + (i - 1) / 2) - a
+        guess = _iroot(remainder * math.factorial(i), i) + (i - 1) // 2 - a
+    else:
+        guess = int(math.exp(log_root) + (i - 1) / 2) - a
     return guess if guess > 2 * i else None
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1 and k >= 1, by integer Newton steps.
+
+    A step from any x > 0 lands at or above the root (the AM-GM
+    inequality), so from the power of two above it each step goes down
+    until the next would not, where x is the root.
+    """
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 def _greedy_coefficient(fit, i: int, remainder: int, hi: int | None, qparam) -> tuple[int, int]:

@@ -12,8 +12,10 @@ on the tail that changes, through the same bounded probe
 (`macaulay._probe`); it reads the bare coefficient tuples.  `hierarchy`
 runs none: the representations of k-1, ..., 0 map to the digit tuples
 with digit sum <= d in descending lex order (Heijnen & Pellikaan, IEEE
-Trans. IT 44(1), 1998), so it lists the whole hierarchy in one walk
-over those tuples.
+Trans. IT 44(1), 1998), so the weights are the w in 1..q^m whose
+q^m - w has digit sum <= d.  It lists them in one pass (`_weights`): a
+C-level scan of a table of digit sums for a small code with many
+weights, and a walk over the digit tuples for any other.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 
-from .dims import CodeParams, _check_rank, _decimal_or
+from .dims import CodeParams, _check_rank, _decimal_or, rho
 from .macaulay import INFINITY, MacaulayRep, _decompose, _probe, decompose
 
 # weights that `hierarchy` lists at most: its walk holds about 60 bytes a
@@ -135,12 +137,46 @@ def _weights(q: int, d: int, m: int) -> list[int]:
     Through `coeffs_to_mu`, rank r is the r-th digit tuple with digit
     sum <= d in descending lex order, and e_bar(r) is its base-q value;
     so the e_bar column is every value below q^m with digit sum <= d,
-    descending.  It is built from the least significant digit up, each
-    digit's value subtracted from q^m: after j digits, `tails[s]` holds
-    in that order q^m minus the values of the last j digits with digit
-    sum <= s, kept only for the sums s that the m - j digits above can
-    still leave, and shared for s past j(q-1), where the bound no
-    longer bites.
+    descending, and the weights are the w in 1..q^m whose q^m - w has
+    digit sum <= d.  A code with q^m <= 2^16, m(q-1) <= 255 and at least
+    q^m / 8 weights takes `_scan`, whose cost is q^m steps in C; every
+    other code takes `_walk`, whose cost is O(1) Python steps a weight.
+    """
+    if m * (q - 1) <= 255 and (n := q**m) <= 1 << 16 and 8 * rho(q, d, m) >= n:
+        return _scan(q, d, m)
+    return _walk(q, d, m)
+
+
+def _scan(q: int, d: int, m: int) -> list[int]:
+    """`_weights` by one pass over a table of digit sums, for q^m <= 2^16
+    and m(q-1) <= 255.
+
+    The base-q digits of q^m - w are those of t = w - 1 taken from q - 1,
+    so they sum to at most d iff t has digit sum >= m(q-1) - d.  The
+    digit sums of t = 0, ..., q^m - 1 are one `bytes` string, one byte
+    each (none passes m(q-1) <= 255), built by q translate-and-join
+    steps per digit; one translate turns it into a 0/1 mask of the t
+    that qualify, and `itertools.compress` keeps their w = t + 1.
+    """
+    ramp = bytes(range(256)) * 2  # ramp[a:a + 256] maps byte x to x + a (mod 256)
+    sums = b"\0"  # the one empty digit string, of sum 0
+    for _ in range(m):
+        # a new top digit a adds a to every sum so far
+        sums = b"".join(sums.translate(ramp[a:a + 256]) for a in range(q))
+    low = m * (q - 1) - d
+    mask = sums.translate(bytes(low) + b"\1" * (256 - low))
+    return list(compress(range(1, q**m + 1), mask))
+
+
+def _walk(q: int, d: int, m: int) -> list[int]:
+    """`_weights` by a walk over the digit tuples, for any code.
+
+    The descending e_bar column is built from the least significant
+    digit up, each digit's value subtracted from q^m: after j digits,
+    `tails[s]` holds in that order q^m minus the values of the last j
+    digits with digit sum <= s, kept only for the sums s that the m - j
+    digits above can still leave, and shared for s past j(q-1), where
+    the bound no longer bites.
     """
     tails = dict.fromkeys(range(d + 1), [q**m])
     for j in range(m):
@@ -166,9 +202,9 @@ def check_hierarchy_cap(params: CodeParams) -> None:
 
 
 def hierarchy(params: CodeParams) -> WeightHierarchy:
-    """Compute d_r for every r = 1, ..., rho_q(d, m) in one walk over
-    the digit tuples (`_weights`), with no Macaulay greedy per rank.
-    A code with more than MAX_WEIGHTS weights is refused before the walk."""
+    """Compute d_r for every r = 1, ..., rho_q(d, m) in one pass over
+    the digit sums (`_weights`), with no Macaulay greedy per rank.
+    A code with more than MAX_WEIGHTS weights is refused before the pass."""
     check_hierarchy_cap(params)
     return WeightHierarchy(params, tuple(_weights(params.q, params.d, params.m)))
 

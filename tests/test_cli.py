@@ -655,6 +655,22 @@ def test_closed_forms_do_not_load_numpy():
     assert proc.stdout == "3\nPASS (3 ranks checked)\nPASS d_1 = 2\nPASS rho = 3 by 4 methods\n"
 
 
+@pytest.mark.parametrize("load", ["import rmweights; o = rmweights.oracle", "from rmweights import oracle as o"])
+def test_the_closed_forms_load_without_the_oracle(load):
+    # the package imports `oracle` on first use, through a module __getattr__
+    code = (
+        "import sys, rmweights.weights\n"
+        "assert 'rmweights.oracle' not in sys.modules\n"
+        f"{load}\n"
+        "import rmweights\n"
+        "assert o is rmweights.oracle is sys.modules['rmweights.oracle']\n"
+        "assert o.count_reduced_monomials(2, 1, 3) == 4\n"
+        "assert not hasattr(rmweights, 'no_such_module')\n"
+    )
+    proc = _run_python("-c", code, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_verify_dims_json(capsys):
     code, out, _ = run(
         capsys,

@@ -14,6 +14,7 @@ from rmweights.macaulay import (
     MacaulayRep,
     _decompose,
     _estimate,
+    _iroot,
     compare,
     decompose,
     dim_term,
@@ -396,6 +397,27 @@ def test_the_estimate_survives_every_float_edge():
             for remainder in (1, 2, 10**300, 10**5000):
                 guess = _estimate(q, i, remainder)
                 assert guess is None or (type(guess) is int and guess > 2 * i), (q, i, remainder)
+
+
+@pytest.mark.parametrize("base, power, d, q, probes", [
+    (10, 5000, 3, 2, 5),  # the gallop with no guess made 22,149
+    (10, 2000, 2, 3, 2),  # 6,645
+    (7, 9000, 4, 5, 8),  # 37,887
+])
+def test_an_integer_root_guesses_past_the_float_range(monkeypatch, base, power, d, q, probes):
+    n = base**power
+    counts = _count_searches(monkeypatch)
+    assert decompose(n, d, q).n == n
+    assert counts["probes"] == probes
+
+
+def test_iroot_is_the_exact_floor_root():
+    rng = random.Random(29)
+    for k in (1, 2, 3, 4, 7, 40):
+        for root in (1, 2, 3, 10**6, 2**64, *(rng.randint(2, 10**rng.randint(1, 300)) for _ in range(10))):
+            for n in (root**k - 1, root**k, root**k + 1, (root + 1) ** k - 1):
+                r = _iroot(n, k) if n else 0
+                assert r**k <= n < (r + 1) ** k, (n, k)
 
 
 def test_decompose_caps_d_before_the_greedy():

@@ -5,7 +5,8 @@ from bisect import bisect_right
 
 import pytest
 
-from rmweights.dims import CodeParams, _rho_upto, dimension_rows, rho
+from rmweights import weights
+from rmweights.dims import CodeParams, _rho_upto, dimension_rows, is_prime_power, rho
 from rmweights.macaulay import (
     INFINITY,
     MacaulayRep,
@@ -19,6 +20,8 @@ from rmweights.weights import (
     MAX_WEIGHTS,
     WeightHierarchy,
     _rank_rep,
+    _scan,
+    _walk,
     coeffs_to_mu,
     e_bar,
     e_bars,
@@ -289,6 +292,46 @@ def test_hierarchy_runs_no_macaulay_greedy(monkeypatch):
     for name in ("rmweights.weights.decompose", "rmweights.weights._decompose"):
         monkeypatch.setattr(name, greedy)
     assert list(hierarchy(p)) == expected
+
+
+def _scanned(q, d, m):
+    return m * (q - 1) <= 255 and q**m <= 1 << 16 and 8 * rho(q, d, m) >= q**m
+
+
+def test_the_scan_matches_the_walk_on_every_small_code_it_takes():
+    codes = 0
+    for q in filter(is_prime_power, range(2, 257)):
+        m = 1
+        while q**m <= 4096:
+            for d in range(1, m * (q - 1) + 1):
+                if _scanned(q, d, m):
+                    assert _scan(q, d, m) == _walk(q, d, m), (q, d, m)
+                    codes += 1
+            m += 1
+    assert codes == 7980
+
+
+@pytest.mark.parametrize("q, d, m, path", [
+    (2, 8, 16, "_scan"),  # q^m = 2^16
+    (2, 9, 17, "_walk"),  # q^m = 2^17
+    (16, 1, 1, "_scan"),  # 8k = q^m, on the density floor
+    (127, 63, 2, "_scan"),  # 8k = q^m + 7
+    (127, 62, 2, "_walk"),  # 8k = q^m - 1, just under it
+    (256, 255, 1, "_scan"),  # m(q - 1) = 255, every digit sum fits a byte
+    (257, 100, 1, "_walk"),  # m(q - 1) = 256 does not
+])
+def test_weights_scans_small_dense_codes_and_walks_the_rest(monkeypatch, q, d, m, path):
+    taken = []
+    for name in ("_scan", "_walk"):
+        real = getattr(weights, name)
+        monkeypatch.setattr(weights, name, lambda *args, name=name, real=real: taken.append(name) or real(*args))
+    h = list(hierarchy(CodeParams(q, d, m)))
+    assert taken == [path]
+    # w is a weight iff the digits of q^m - w sum to at most d
+    digit_sums = [0]
+    for v in range(1, q**m):
+        digit_sums.append(digit_sums[v // q] + v % q)
+    assert h == [w for w in range(1, q**m + 1) if digit_sums[q**m - w] <= d]
 
 
 def test_hierarchy_peak_memory_stays_near_its_result():
