@@ -14,8 +14,8 @@ bound each coefficient from above: by the one above it, and by one less
 after a run of q - 1 equal coefficients.  The search probes that bound
 first, since many coefficients lie at it; then it probes just above a
 guess that the remainder gives (`_estimate`, a float inversion of a
-binomial that stands in for the summand, or an integer one past the
-float range) and gallops from there.  The guess only picks where the
+binomial that stands in for the summand, or an integer one past a
+float's 53 bits) and gallops from there.  The guess only picks where the
 exact probes start, so no float reaches a coefficient.  m_1 needs no
 search, as every degree-1 summand is m_1 + 1.  `_probe` picks the one
 probe of every greedy in the package: for finite q `dims._rho_upto`,
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
@@ -38,7 +37,8 @@ from typing import Sequence
 from .dims import _decimal_or, _rho_upto, binomial, is_prime_power, rho
 
 INFINITY = float("inf")
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LN2 = math.log(2)
+_LOG_FLOAT_EXACT = 53 * _LN2  # log of 2^53: a root past it has bits a float drops
 
 # degrees that `decompose` takes at most: it stores and checks all d
 # coefficients whatever n is, near 80 MB at the cap; the `macaulay`
@@ -135,30 +135,40 @@ def _estimate(qparam, i: int, remainder: int) -> int | None:
     at q = 2 and a = i otherwise (exactly C(m + i, i) at q = INFINITY
     and for i < q).  C(N, i) is about (N - (i - 1)/2)^i / i!, which
     inverts to N from log(remainder) and lgamma(i + 1), both defined
-    at any size.  Where that root overflows a float, it is the exact
-    integer root of remainder * i! (`_iroot`) instead, which costs
-    several times the float's and so is kept to that range.  The guess
-    is given only where it lands above 2i, below which the surrogate is
-    poor; it only picks where the exact probes start.
+    at any size.  Where that root passes a float's 53 bits, the float
+    misses its low bits and the gallop pays about two probes for each,
+    so the root is the exact integer root of remainder * i! (`_iroot`)
+    instead, seeded from the float.  The guess is given only where it
+    lands above 2i, below which the surrogate is poor; it only picks
+    where the exact probes start.
     """
     a = 1 if qparam == 2 else i
     log_root = (math.log(remainder) + math.lgamma(i + 1)) / i
-    if log_root > _LOG_FLOAT_MAX:
-        guess = _iroot(remainder * math.factorial(i), i) + (i - 1) // 2 - a
+    if log_root > _LOG_FLOAT_EXACT:
+        # the float root scaled into [2^53, 2^54), then shifted back
+        shift = int(log_root / _LN2) - 53
+        hint = int(math.exp(log_root - shift * _LN2)) << shift
+        guess = _iroot(remainder * math.factorial(i), i, hint) + (i - 1) // 2 - a
     else:
         guess = int(math.exp(log_root) + (i - 1) / 2) - a
     return guess if guess > 2 * i else None
 
 
-def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 1 and k >= 1, by integer Newton steps.
+def _iroot(n: int, k: int, hint: int) -> int:
+    """floor(n^(1/k)) for n >= 1, k >= 1 and hint >= 1, by integer Newton steps.
 
     A step from any x > 0 lands at or above the root (the AM-GM
-    inequality), so from the power of two above it each step goes down
-    until the next would not, where x is the root.
+    inequality), and so does the power of two above it.  From the lower
+    of the two, each step goes down until the next would not, where x
+    is the root.  A hint near the root makes its step the lower one and
+    saves the about k ln 2 slow steps down from the power of two; any
+    other hint costs at most one step more.
     """
-    x = 1 << -(-n.bit_length() // k)
-    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+    def step(x):
+        return ((k - 1) * x + n // x ** (k - 1)) // k
+
+    x = min(step(hint), 1 << -(-n.bit_length() // k))
+    while (y := step(x)) < x:
         x = y
     return x
 

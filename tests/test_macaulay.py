@@ -403,6 +403,7 @@ def test_the_estimate_survives_every_float_edge():
     (10, 5000, 3, 2, 5),  # the gallop with no guess made 22,149
     (10, 2000, 2, 3, 2),  # 6,645
     (7, 9000, 4, 5, 8),  # 37,887
+    (2, 40000, 40, 2, 116),  # 74,824 from a float guess, whose roots near 2^1000 lose low bits
 ])
 def test_an_integer_root_guesses_past_the_float_range(monkeypatch, base, power, d, q, probes):
     n = base**power
@@ -416,8 +417,12 @@ def test_iroot_is_the_exact_floor_root():
     for k in (1, 2, 3, 4, 7, 40):
         for root in (1, 2, 3, 10**6, 2**64, *(rng.randint(2, 10**rng.randint(1, 300)) for _ in range(10))):
             for n in (root**k - 1, root**k, root**k + 1, (root + 1) ** k - 1):
-                r = _iroot(n, k) if n else 0
-                assert r**k <= n < (r + 1) ** k, (n, k)
+                if not n:
+                    continue
+                # a hint far below the root, near it, at it and far above it
+                for hint in (1, root - 1 or 1, root, root + 1, root << 64):
+                    r = _iroot(n, k, hint)
+                    assert r**k <= n < (r + 1) ** k, (n, k, hint)
 
 
 def test_decompose_caps_d_before_the_greedy():

@@ -20,6 +20,7 @@ from rmweights.weights import (
     MAX_WEIGHTS,
     WeightHierarchy,
     _rank_rep,
+    _rank_tuples,
     _scan,
     _walk,
     coeffs_to_mu,
@@ -390,24 +391,14 @@ def _small_codes():
 
 
 def test_e_bars_reads_bare_tuples_that_are_all_valid(monkeypatch):
-    # e_bars builds no MacaulayRep, and after its first rank it runs the
-    # greedy only on the tail that changes: a tail of degree i replaces
-    # the last i coefficients of the tuple before.  The check it skips is
-    # run here on every full tuple it forms, one per rank, and each must
-    # be the tuple that the single-rank route checks and returns
-    formed = []
-
-    def spy(n, d, q, fit, top=None):
-        tail = _decompose(n, d, q, fit, top)
-        formed.append(formed[-1][: len(formed[-1]) - d] + tail if formed else tail)
-        return tail
-
-    monkeypatch.setattr("rmweights.weights._decompose", spy)
+    # e_bars builds no MacaulayRep: it reads e_bar off `_rank_tuples`,
+    # which forms the full tuple of every rank from the tails.  The
+    # check it skips is run here on each of them, and each must be the
+    # tuple that the single-rank route checks and returns
     for p in _small_codes():
-        formed.clear()
-        list(e_bars(p))
+        formed = list(_rank_tuples(p))
         assert len(formed) == p.dimension, p
-        for r, t in enumerate(formed, start=1):
+        for r, (t, _) in enumerate(formed, start=1):
             assert type(t) is tuple and validate(t, p.d, p.q), (p, r, t)
             assert t == _rank_rep(p, r).coeffs, (p, r)
 
@@ -416,6 +407,26 @@ def test_e_bars_reads_bare_tuples_that_are_all_valid(monkeypatch):
     list(e_bars(CodeParams(3, 4, 5)))
     assert built == []
     assert e_bar(CodeParams(3, 4, 5), 7) and len(built) == 1  # the public route still checks
+
+
+def test_e_bars_runs_the_greedy_once_per_distinct_tail(monkeypatch):
+    # the tail after the last live coefficient c, at degree i, depends on
+    # (i, c) alone, so a call runs one greedy per distinct (i, c) that
+    # ends the tuples of ranks 0, ..., k - 1; run per rank it ran k
+    runs = []
+    monkeypatch.setattr(
+        "rmweights.weights._decompose", lambda *args: runs.append(args) or _decompose(*args)
+    )
+    for p in _small_codes():
+        ends = set()
+        for r in range(p.dimension):  # rank 0 is k itself, (m, -1, ..., -1)
+            coeffs = decompose(p.dimension - r, p.d, p.q).coeffs
+            j = p.d - 1 - coeffs.count(-1)
+            ends.add((p.d - j, coeffs[j]))
+        for _ in range(2):  # the tails are kept per call, not across calls
+            runs.clear()
+            list(e_bars(p))
+            assert len(runs) == len(ends) <= p.d * (p.m + 1), p
 
 
 def test_e_bars_searches_at_most_one_coefficient_per_rank(monkeypatch):
