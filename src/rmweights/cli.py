@@ -19,7 +19,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from itertools import islice
 
-from . import oracle, weights
+from . import weights
 from .dims import (
     CodeParams, _digit_limit, is_prime_power, rho, rho_binomial, rho_recursive,
 )
@@ -187,12 +187,13 @@ def cmd_table(args) -> tuple:
     return True, None, "q,d,m,r,d_r", rows(), None
 
 
-def _verify_lex(params: CodeParams, cap: int, r) -> tuple:
+def _verify_lex(params: CodeParams, caps: dict, r) -> tuple:
+    from . import oracle
     # the tuple cap bounds q^m, not k: refuse a code past the hierarchy
     # cap before its tuples are listed
     weights.check_hierarchy_cap(params)
     k = params.dimension
-    column = oracle.e_bar_lex_column(params, cap)
+    column = oracle.e_bar_lex_column(params, **caps)
     # the greedy at every rank, and the digit-sum pass of `hierarchy`
     greedy = list(weights.e_bars(params))
     n = params.length  # a property that computes q^m: read it once
@@ -227,17 +228,18 @@ def _verify_lex(params: CodeParams, cap: int, r) -> tuple:
     )
 
 
-def _verify_exhaustive(params: CodeParams, cap: int, r) -> tuple:
+def _verify_exhaustive(params: CodeParams, caps: dict, r) -> tuple:
+    from . import oracle
     if r is not None:
         ranks = [r]
     else:
         oracle.check_matrix_caps(params)  # before a rank scan that could only end at a cap
-        ranks = oracle.ranks_under_cap(params.dimension, params.q, cap)
+        ranks = oracle.ranks_under_cap(params.dimension, params.q, **caps)
         if not ranks:
             raise ValueError("no rank fits under the subspace cap; pass --r or raise --cap")
     rows = []
     for s in ranks:
-        exhaustive = oracle.min_subspace_support(params, s, cap)  # its caps before ghw's q^m
+        exhaustive = oracle.min_subspace_support(params, s, **caps)  # its caps before ghw's q^m
         rows.append((s, weights.ghw(params, s), exhaustive))
     mismatches = [row for row in rows if row[1] != row[2]]
 
@@ -259,10 +261,11 @@ def _verify_exhaustive(params: CodeParams, cap: int, r) -> tuple:
     )
 
 
-def _verify_dims(params: CodeParams, cap: int, r) -> tuple:
+def _verify_dims(params: CodeParams, caps: dict, r) -> tuple:
+    from . import oracle
     q, d, m = params.q, params.d, params.m
     # enumerate first: a code past the cap exits before the closed forms run
-    enumeration = oracle.count_reduced_monomials(q, d, m, cap)
+    enumeration = oracle.count_reduced_monomials(q, d, m, **caps)
     values = {
         "formula": rho(q, d, m),
         "recursion": rho_recursive(q, d, m),
@@ -283,23 +286,20 @@ def _verify_dims(params: CodeParams, cap: int, r) -> tuple:
     )
 
 
-# verify's oracles: name -> (check, default --cap).  A check returns a
-# subcommand's report whose doc holds its own JSON keys only.  lex tests
-# `e_bars` and `hierarchy`, exhaustive tests `weights.ghw`: both run
-# the bounded probe of `decompose` (`macaulay._probe`) at each rank checked.
-_ORACLES = {
-    "lex": (_verify_lex, oracle.DEFAULT_TUPLE_CAP),
-    "exhaustive": (_verify_exhaustive, oracle.DEFAULT_SUBSPACE_CAP),
-    "dims": (_verify_dims, oracle.DEFAULT_TUPLE_CAP),
-}
+# verify's oracles: name -> check.  A check imports `oracle` itself, so no
+# other subcommand loads it, and passes `caps`, {"cap": --cap} or {} for
+# each oracle function's own default, to the functions it calls.  It returns
+# a subcommand's report whose doc holds its own JSON keys only.  lex tests
+# `e_bars` and `hierarchy`, exhaustive tests `weights.ghw`: both run the
+# bounded probe of `decompose` (`macaulay._probe`) at each rank checked.
+_ORACLES = {"lex": _verify_lex, "exhaustive": _verify_exhaustive, "dims": _verify_dims}
 
 
 def cmd_verify(args) -> tuple:
     if args.r is not None and args.oracle != "exhaustive":
         raise ValueError(f"--r applies only to --oracle exhaustive, not --oracle {args.oracle}")
-    check, default_cap = _ORACLES[args.oracle]
-    cap = default_cap if args.cap is None else args.cap
-    passed, keys, *report = check(CodeParams(args.q, args.d, args.m), cap, args.r)
+    caps = {} if args.cap is None else {"cap": args.cap}
+    passed, keys, *report = _ORACLES[args.oracle](CodeParams(args.q, args.d, args.m), caps, args.r)
     frame = {"oracle": args.oracle, "status": "pass" if passed else "fail"}
     return (passed, lambda: {**frame, **keys()}, *report)
 

@@ -185,7 +185,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def ranks_under_cap(k: int, q: int, cap: int) -> list:
+def ranks_under_cap(k: int, q: int, cap: int = DEFAULT_SUBSPACE_CAP) -> list:
     """The ranks s in 1..k with [k, s]_q <= cap, in increasing order.
 
     [k, s]_q = [k, k - s]_q rises with s up to k/2, so they are 1..a and

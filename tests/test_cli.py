@@ -671,6 +671,52 @@ def test_the_closed_forms_load_without_the_oracle(load):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_only_verify_loads_the_oracle():
+    # the default caps belong to the oracle's functions, so cli need not
+    # import `oracle` to build its table of oracles
+    code = (
+        "import sys\n"
+        "from rmweights.cli import main\n"
+        "code = ['--q', '2', '--d', '1', '--m', '2']\n"
+        "for argv in (\n"
+        "    ['dim', *code], ['ghw', *code, '--r', '1'], ['hierarchy', *code],\n"
+        "    ['macaulay', '--n', '5', '--d', '2', '--q', '2'], ['table', '--q', '2', '--m', '2'],\n"
+        "):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'rmweights.oracle' not in sys.modules, argv\n"
+        "assert main(['verify', *code, '--oracle', 'lex']) == 0\n"
+        "assert 'rmweights.oracle' in sys.modules\n"
+    )
+    proc = _run_python("-c", code, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_verify_lex_without_cap_stops_at_the_default_tuple_cap(capsys):
+    # k = 28 passes the hierarchy cap; q^m = 2^27 does not pass 10^8
+    code, out, err = run(capsys, "verify", "--q", "2", "--d", "1", "--m", "27", "--oracle", "lex")
+    assert (code, out) == (2, "")
+    assert err == f"error: q^m = {2**27} exceeds the enumeration cap {10**8}\n"
+
+
+def test_verify_exhaustive_without_cap_scans_the_ranks_under_the_default_cap(capsys, monkeypatch):
+    # [15, 1]_3 = 7,174,453 fits under 10^7 subspaces and [13, 1]_4 =
+    # 22,369,621 does not; the scan is recorded with the closed form
+    # standing in for the oracle, so no subspace is listed
+    scanned = []
+    monkeypatch.setattr(
+        oracle, "min_subspace_support",
+        lambda params, r, *args, **kwargs: scanned.append(r) or weights.ghw(params, r),
+    )
+    for q, d, m, ranks, out in (
+        ("3", "2", "4", [1, 14, 15], "PASS d_1 = 27\nPASS d_14 = 80\nPASS d_15 = 81\n"),
+        ("4", "4", "2", [13], "PASS d_13 = 16\n"),
+    ):
+        scanned.clear()
+        argv = ("verify", "--q", q, "--d", d, "--m", m, "--oracle", "exhaustive")
+        assert run(capsys, *argv) == (0, out, "")
+        assert scanned == ranks, argv
+
+
 def test_verify_dims_json(capsys):
     code, out, _ = run(
         capsys,

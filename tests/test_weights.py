@@ -443,6 +443,20 @@ def test_e_bars_searches_at_most_one_coefficient_per_rank(monkeypatch):
         assert len(calls) <= p.dimension, p
 
 
+def test_e_bars_first_item_builds_no_table_of_powers():
+    # a table of q^c for c = 0..m holds O(m^2 log q) bits before the
+    # first yield: 27.6 MB at m = 20,000; the tail's own powers hold a few KB
+    p = CodeParams(2, 1, 20000)
+    tracemalloc.start()
+    try:
+        first = next(e_bars(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == e_bar(p, 1) == 2**19999
+    assert peak < 10**6
+
+
 def test_rank_queries_probe_no_top_coefficient_above_m_minus_1(monkeypatch):
     # k - r < k = rho_q(d, m), so m_d <= m - 1; searched from 0 by
     # doubling, m_d was probed at 2047, a probe of 1,001 terms
