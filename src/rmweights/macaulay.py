@@ -6,7 +6,7 @@ apart strictly increase unless both are -1.  Passing ``INFINITY`` for q
 switches the summands to plain binomials C(m_i + i, i), which recovers
 the classical d-binomial representation.
 
-The greedy, `_decompose`, takes one probe, fit(i, m, bound), which
+The greedy, `_decompose`, makes one probe, fit(i, m, bound), which
 returns the degree-i summand at m when it is <= bound and None
 otherwise; the summand of each coefficient is the value of its last
 probe that fit, so no summand is evaluated twice.  The two conditions
@@ -17,12 +17,12 @@ guess that the remainder gives (`_estimate`, a float inversion of a
 binomial that stands in for the summand, or an integer one past a
 float's 53 bits) and gallops from there.  The guess only picks where the
 exact probes start, so no float reaches a coefficient.  m_1 needs no
-search, as every degree-1 summand is m_1 + 1.  `_probe` picks the one
-probe of every greedy in the package: for finite q `dims._rho_upto`,
-which gives up on the first partial sum of rho's inclusion-exclusion
-formula past the bound.  The greedy returns the bare coefficient
-tuple; `decompose` is the one place that wraps it in a `MacaulayRep`,
-whose constructor validates it.
+search, as every degree-1 summand is m_1 + 1.  `_probe` makes the
+probe, once per greedy run and nowhere else: for finite q
+`dims._rho_upto`, which gives up on the first partial sum of rho's
+inclusion-exclusion formula past the bound.  The greedy returns the
+bare coefficient tuple; `decompose` is the one place that wraps it in
+a `MacaulayRep`, whose constructor validates it.
 """
 
 from __future__ import annotations
@@ -225,10 +225,9 @@ def _greedy_coefficient(fit, i: int, remainder: int, hi: int | None, qparam) -> 
     return lo, lo_value
 
 
-def _decompose(n: int, d: int, qparam, fit, top: int | None = None) -> tuple[int, ...]:
-    """The greedy of `decompose`, probing through fit(i, m, bound), which
-    returns the degree-i summand at m if it is <= bound and None
-    otherwise; `top`, if given, must bound m_d from above.
+def _decompose(n: int, d: int, qparam, top: int | None = None) -> tuple[int, ...]:
+    """The greedy of `decompose`, probing through the fit(i, m, bound) that
+    it makes (`_probe`); `top`, if given, must bound m_d from above.
 
     Each coefficient is bounded by the one above it, and by one less
     after a run of q - 1 equal coefficients other than -1 (the spacing
@@ -238,7 +237,7 @@ def _decompose(n: int, d: int, qparam, fit, top: int | None = None) -> tuple[int
     by uniqueness the result, a bare tuple (m_d, ..., m_1), is then
     the representation of n, which `decompose` wraps and checks.
     """
-    coeffs, remainder, hi = [], n, top
+    fit, coeffs, remainder, hi = _probe(qparam), [], n, top
     run, spacing = 0, qparam - 1  # run: how many coefficients in a row equal hi
     for i in range(d, 1, -1):
         if not remainder:
@@ -267,8 +266,8 @@ def _binomial_fit(i: int, m: int, bound: int) -> int | None:
 
 
 def _probe(qparam):
-    """The probe fit(i, m, bound) of the greedy for a checked qparam:
-    `_binomial_fit` at INFINITY, else `dims._rho_upto` with q bound."""
+    """The probe fit(i, m, bound) that each `_decompose` run makes for its
+    checked qparam: `_binomial_fit` at INFINITY, else `dims._rho_upto` with q bound."""
     return _binomial_fit if qparam == INFINITY else partial(_rho_upto, qparam)
 
 
@@ -287,11 +286,11 @@ def decompose(n: int, d: int, qparam, top: int | None = None) -> MacaulayRep:
     taken, since all d coefficients are stored; a larger d raises
     ValueError before the greedy runs.
     m_1 is the remainder minus one, capped by its bound, with no probe.
-    A probe for finite q is `dims._rho_upto`, which skips the argument
-    checks (q is checked here once, and the greedy makes i and m) and
-    stops on the first odd partial sum of rho past the remainder; the
-    summand of each coefficient is the value its last fitting probe
-    returned.
+    The greedy makes its own probe (`_probe`), for finite q
+    `dims._rho_upto`, which skips the argument checks (q is checked here
+    once, and the greedy makes i and m) and stops on the first odd
+    partial sum of rho past the remainder; the summand of each
+    coefficient is the value its last fitting probe returned.
     """
     _check_qparam(qparam)
     if not (isinstance(n, int) and isinstance(d, int) and isinstance(top, (int, type(None)))):
@@ -302,7 +301,7 @@ def decompose(n: int, d: int, qparam, top: int | None = None) -> MacaulayRep:
         raise ValueError("n must be >= 0")
     if top is not None and top < -1:
         raise ValueError("top must be >= -1")
-    return MacaulayRep(qparam, d, _decompose(n, d, qparam, _probe(qparam), top))
+    return MacaulayRep(qparam, d, _decompose(n, d, qparam, top))
 
 
 def recompose(coeffs, d: int | None = None, qparam=None) -> int:

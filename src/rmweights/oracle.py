@@ -12,9 +12,10 @@ Three oracles, each deliberately naive:
   subspace after the first of its pivot columns re-encodes one row by
   one scaled generator row.
 
-Naive means every tuple and every subspace is visited, and none of the
-closed forms is called; the per-element work runs in C where it can
-(`bytes.translate` over digit sums, codewords and supports as integers).
+Naive means every tuple and every subspace is visited, and none of the closed
+forms is called; the per-element work runs in C where it can (`bytes.translate`
+over digit sums, codewords and supports as integers).  Each oracle lists its own
+tuples on purpose, so that a fault in one listing fails one oracle, not two.
 
 Field arithmetic uses full lookup tables.  Extension fields are built
 modulo pinned irreducible polynomials: x^2+x+1 for GF(4), x^3+x+1 for

@@ -8,8 +8,8 @@ minus that.  `e_bar`, `ghw` and `mu_tuple` run that greedy for one
 rank, through the checked `decompose`, bounded by m_d <= m - 1.
 `e_bars` runs it once in full for the first rank of one code and then
 steps from each representation to the next, re-running the greedy only
-on the tail that changes, through the same bounded probe
-(`macaulay._probe`); it reads the bare coefficient tuples.  A tail
+on the tail that changes; each tail greedy makes its own bounded probe
+(`macaulay._probe`) and returns a bare coefficient tuple.  A tail
 depends only on the degree i and value c of the last live coefficient,
 so each call runs it once per (i, c) and keeps it in a dict of at most
 d(m + 1) entries, one per call (a 9 KB peak for a repeated iteration
@@ -24,14 +24,13 @@ weights, and a walk over the digit tuples for any other.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, islice
 
 from .dims import CodeParams, _check_rank, _decimal_or, rho
-from .macaulay import INFINITY, MacaulayRep, _decompose, _probe, decompose
+from .macaulay import INFINITY, MacaulayRep, _decompose, decompose
 
 # weights that `hierarchy` lists at most: its walk holds about 60 bytes a
 # weight, so a capped hierarchy stays near 300 MB
@@ -73,11 +72,11 @@ def e_bar(params: CodeParams, r: int) -> int:
 def e_bars(params: CodeParams):
     """An iterator of e_bar(params, r) for r = 1, ..., rho_q(d, m), in that order.
 
-    The same greedy as `e_bar`, resumed from each rank to the next
-    (`_rank_tuples`).  Each distinct tail is run once per call and kept
-    in a dict of at most d(m + 1) entries, dropped when the iterator
-    ends: 155 entries on (2, 10, 20), where a repeated iteration peaks
-    at 9 KB under tracemalloc.  No table of powers is built.
+    The same greedy as `e_bar`, each run with its own probe, resumed from
+    each rank to the next (`_rank_tuples`).  Each distinct tail is run once
+    per call and kept in a dict of at most d(m + 1) entries, dropped when
+    the iterator ends: 155 entries on (2, 10, 20), where a repeated
+    iteration peaks at 9 KB under tracemalloc.  No table of powers is built.
     """
     return map(operator.itemgetter(1), _rank_tuples(params))
 
@@ -102,19 +101,18 @@ def _rank_tuples(params: CodeParams):
     `tails` keeps, per (i, c), the tail, its count of live entries and
     its change to e_bar, for every later rank that ends at the same
     (i, c).  It holds at most d(m + 1) entries (1 <= i <= d,
-    0 <= c <= m) and is dropped with the generator.  Every probe is the
-    bounded one of `decompose` (`macaulay._probe`); the summand of c
-    that starts a tail is that probe with no bound.
+    0 <= c <= m) and is dropped with the generator.  Each tail greedy makes
+    the bounded probe of `decompose` (`macaulay._probe`); the summand of c
+    that starts a tail is that probe with no bound, `rho(q, i, c)`.
     """
     q, d, m = params.q, params.d, params.m
-    fit = _probe(q)
     coeffs, live, value = (m,) + (-1,) * (d - 1), 1, q**m  # rank 0: n = k, e_bar = q^m
     tails = {}
     for _ in range(params.dimension):
         j = live - 1  # c is the last entry >= 0; the -1s trail
         i, c = d - j, coeffs[j]
         if (entry := tails.get((i, c))) is None:
-            tail = _decompose(fit(i, c, math.inf) - 1, i, q, fit, c - 1)
+            tail = _decompose(rho(q, i, c) - 1, i, q, c - 1)
             tail_live = i - tail.count(-1)
             change = sum(q**t for t in tail[:tail_live]) - q**c
             entry = tails[i, c] = tail, tail_live, change

@@ -208,11 +208,6 @@ def test_decompose_matches_the_full_evaluation_greedy():
             assert decompose(n, d, q).coeffs == _reference_decompose(n, d, q), (q, d, n)
 
 
-def _fit(q):
-    """The probe that `decompose` makes: the summand if it is <= bound, else None."""
-    return macaulay._probe(q)
-
-
 def _greedy_sweep():
     """The (q, d, n) of `test_decompose_matches_the_full_evaluation_greedy`."""
     for q in (*SWEEP_QS, INFINITY):
@@ -229,7 +224,7 @@ def test_decompose_wraps_the_greedy_tuple_and_every_tuple_is_valid():
     # the greedy returns bare tuples, and `decompose` is where they are
     # checked: each one must pass `validate` and come back unchanged
     for q, d, n in _greedy_sweep():
-        t = _decompose(n, d, q, _fit(q))
+        t = _decompose(n, d, q)
         assert type(t) is tuple and validate(t, d, q), (q, d, n, t)
         assert decompose(n, d, q).coeffs == t, (q, d, n)
 
@@ -255,17 +250,18 @@ def test_decompose_round_trips_the_gallop_edges(q):
 
 
 @pytest.mark.parametrize("q", [*SWEEP_QS, INFINITY])
-def test_greedy_probes_grow_with_the_log_of_each_gap(q):
-    run = None if q == INFINITY else q - 1
+def test_greedy_probes_grow_with_the_log_of_each_gap(monkeypatch, q):
+    run, probe = None if q == INFINITY else q - 1, macaulay._probe(q)
     for t in _gallop_edge_tuples(q):
         d, probes, highest = len(t), Counter(), {}
 
-        def fit(i, m, bound, probe=_fit(q)):
+        def fit(i, m, bound):
             probes[i] += 1
             highest[i] = max(m, highest.get(i, m))
             return probe(i, m, bound)
 
-        assert _decompose(recompose(t, d, q), d, q, fit) == t
+        monkeypatch.setattr(macaulay, "_probe", lambda qparam: fit)
+        assert _decompose(recompose(t, d, q), d, q) == t
         assert probes[1] == 0, t  # m_1 is the remainder minus one
         for i in range(2, d):  # t[d - i] is m_i, and t[d - i - 1] the one above
             gap = t[d - i - 1] - t[d - i]
@@ -309,7 +305,7 @@ STEERS = {
 @pytest.mark.parametrize("steer", STEERS)
 def test_the_guess_only_steers_the_search(monkeypatch, steer):
     # each coefficient is settled by exact probes, whatever the guess
-    cases = [(q, d, n, _decompose(n, d, q, _fit(q))) for q, d, n in _steering_sweep()]
+    cases = [(q, d, n, _decompose(n, d, q)) for q, d, n in _steering_sweep()]
     case, guesses = {}, []
 
     def estimate(qparam, i, remainder):
@@ -319,7 +315,7 @@ def test_the_guess_only_steers_the_search(monkeypatch, steer):
     monkeypatch.setattr(macaulay, "_estimate", estimate)
     for q, d, n, t in cases:
         case.update(t=t, bounds=_searched_bounds(t, q))
-        assert _decompose(n, d, q, _fit(q)) == t, (steer, q, d, n)
+        assert _decompose(n, d, q) == t, (steer, q, d, n)
     assert len(guesses) > 1000
 
 
@@ -437,7 +433,7 @@ def test_decompose_caps_d_before_the_greedy():
 def test_greedy_raises_when_its_top_bound_is_too_low(q):
     # 10^6 needs m_3 far above 3; the capped terms leave most of it
     with pytest.raises(AssertionError, match="leave"):
-        _decompose(10**6, 3, q, _fit(q), 3)
+        _decompose(10**6, 3, q, 3)
     with pytest.raises(AssertionError, match="leave"):
         decompose(10**6, 3, q, top=3)
     # n past the int -> str digit limit is named by its size

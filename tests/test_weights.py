@@ -12,6 +12,7 @@ from rmweights.macaulay import (
     MacaulayRep,
     _decompose,
     _greedy_coefficient,
+    _probe,
     decompose,
     validate,
 )
@@ -88,17 +89,21 @@ def test_ghw_calls_rho_once(monkeypatch):
 
 def test_decompose_probes_each_summand_once(monkeypatch):
     # the greedy keeps the value of its last probe that fit, so no
-    # (degree, coefficient) pair is evaluated twice in one call
-    probes = []
+    # (degree, coefficient) pair is evaluated twice in one call; and the
+    # greedy makes that probe once per call
+    probes, made = [], []
     monkeypatch.setattr(
         "rmweights.macaulay._rho_upto",
         lambda q, i, m, bound: probes.append((i, m)) or _rho_upto(q, i, m, bound),
     )
+    monkeypatch.setattr("rmweights.macaulay._probe", lambda q: made.append(q) or _probe(q))
     for p in GREEDY_CODES:
         for r in _greedy_ranks(p):
             probes.clear()
+            made.clear()
             ghw(p, r)
             assert len(set(probes)) == len(probes), (p, r)
+            assert made == [p.q], (p, r)
             if r < p.dimension:
                 assert probes, (p, r)
 
@@ -412,11 +417,13 @@ def test_e_bars_reads_bare_tuples_that_are_all_valid(monkeypatch):
 def test_e_bars_runs_the_greedy_once_per_distinct_tail(monkeypatch):
     # the tail after the last live coefficient c, at degree i, depends on
     # (i, c) alone, so a call runs one greedy per distinct (i, c) that
-    # ends the tuples of ranks 0, ..., k - 1; run per rank it ran k
-    runs = []
+    # ends the tuples of ranks 0, ..., k - 1; run per rank it ran k.
+    # Each run makes its own probe, through the one `macaulay._probe`
+    runs, made = [], []
     monkeypatch.setattr(
         "rmweights.weights._decompose", lambda *args: runs.append(args) or _decompose(*args)
     )
+    monkeypatch.setattr("rmweights.macaulay._probe", lambda q: made.append(q) or _probe(q))
     for p in _small_codes():
         ends = set()
         for r in range(p.dimension):  # rank 0 is k itself, (m, -1, ..., -1)
@@ -425,8 +432,10 @@ def test_e_bars_runs_the_greedy_once_per_distinct_tail(monkeypatch):
             ends.add((p.d - j, coeffs[j]))
         for _ in range(2):  # the tails are kept per call, not across calls
             runs.clear()
+            made.clear()
             list(e_bars(p))
             assert len(runs) == len(ends) <= p.d * (p.m + 1), p
+            assert len(made) == len(runs), p
 
 
 def test_e_bars_searches_at_most_one_coefficient_per_rank(monkeypatch):
