@@ -161,19 +161,14 @@ def cmd_table(args) -> tuple:
     # input is rejected before the header
     q_range = _parse_range(args.q)
     m_range = _parse_range(args.m)
-    d_range = _parse_range(args.d) if args.d is not None else None
+    d_range = _parse_range(args.d) if args.d is not None else range(1, sys.maxsize)
     qs = [q for q in q_range if is_prime_power(q)]  # a range like 5..7 skips q = 6
 
     def codes():
+        # each range clipped to the codes that exist: m >= 1, 1 <= d <= m(q-1)
         for q in qs:
-            for m in m_range:
-                if m < 1:
-                    continue
-                d_max = m * (q - 1)
-                ds = range(1, d_max + 1) if d_range is None else (
-                    d for d in d_range if 1 <= d <= d_max
-                )
-                for d in ds:
+            for m in range(max(1, m_range.start), m_range.stop):
+                for d in range(max(1, d_range.start), min(d_range.stop, m * (q - 1) + 1)):
                     yield CodeParams(q, d, m)
 
     for params in codes():

@@ -49,14 +49,15 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _check_args(q: int, d: int, m: int) -> None:
-    """Checks shared by the three dimension routes and CodeParams."""
+def _check_args(q: int, d: int, m: int, m_min: int = -1) -> None:
+    """Checks shared by the three dimension routes (m >= -1) and
+    CodeParams (m >= 1)."""
     if not isinstance(q, int) or not is_prime_power(q):
         raise ValueError("q must be a prime power")
     if not isinstance(d, int) or not isinstance(m, int):
         raise TypeError("d and m must be integers")
-    if m < -1:
-        raise ValueError("m must be >= -1")
+    if m < m_min:
+        raise ValueError(f"m must be >= {m_min}")
 
 
 def rho(q: int, d: int, m: int) -> int:
@@ -76,8 +77,8 @@ def _rho_upto(q: int, d: int, m: int, bound: int | float) -> int | None:
     """rho(q, d, m) if it is <= bound, else None, for arguments that the
     caller has checked.
 
-    0 for d < 0 or m = -1, 1 for m = 0 and q^m for d >= m(q-1), where
-    every tuple counts; otherwise the hockey-stick sum: j variables
+    0 for d < 0 or m = -1, and q^m for d >= m(q-1), where every tuple
+    counts (so 1 at m = 0); otherwise the hockey-stick sum: j variables
     forced to exponent >= q, the degree left spread over m variables and
     a slack.  Truncated after an odd term j, an inclusion-exclusion sum
     is <= its value (the Bonferroni inequalities), so an odd partial sum
@@ -86,8 +87,6 @@ def _rho_upto(q: int, d: int, m: int, bound: int | float) -> int | None:
     """
     if d < 0 or m == -1:
         value = 0
-    elif m == 0:
-        value = 1
     elif d >= m * (q - 1):
         value = q**m
     else:
@@ -164,9 +163,7 @@ class CodeParams:
     m: int
 
     def __post_init__(self):
-        _check_args(self.q, self.d, self.m)
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        _check_args(self.q, self.d, self.m, 1)
         if not 1 <= self.d <= self.m * (self.q - 1):
             raise ValueError(f"d must be in [1, {self.m * (self.q - 1)}]")
 

@@ -198,7 +198,7 @@ def _greedy_coefficient(fit, i: int, remainder: int, hi: int | None, qparam) -> 
         return hi, value
     lo, lo_value = -1, 0
     guess = _estimate(qparam, i, remainder)
-    if guess is not None and lo < guess + 1 and (hi is None or guess + 1 < hi):
+    if guess is not None and (hi is None or guess + 1 < hi):
         if (value := fit(i, guess + 1, remainder)) is None:
             hi = guess + 1
         else:

@@ -17,11 +17,11 @@ forms is called; the per-element work runs in C where it can (`bytes.translate`
 over digit sums, codewords and supports as integers).  Each oracle lists its own
 tuples on purpose, so that a fault in one listing fails one oracle, not two.
 
-Field arithmetic uses full lookup tables.  Extension fields are built
-modulo pinned irreducible polynomials: x^2+x+1 for GF(4), x^3+x+1 for
-GF(8), x^2+1 for GF(9), x^4+x+1 for GF(16).  The field axioms are
-re-verified exhaustively every time a table is constructed, which
-`build_field` does once per q per process.
+Field arithmetic uses full lookup tables, built modulo pinned
+irreducible polynomials: x^2+x+1 for GF(4), x^3+x+1 for GF(8), x^2+1
+for GF(9), x^4+x+1 for GF(16), and x for a prime field.  The field
+axioms are re-verified exhaustively every time a table is constructed,
+which `build_field` does once per q per process.
 """
 
 from __future__ import annotations
@@ -72,28 +72,21 @@ class FieldTable:
 
     Element i of GF(p^k) stands for the polynomial whose base-p digits
     of i are its coefficients (lowest degree first), so 0 and 1 are the
-    two identities.  Prime fields are plain modular arithmetic.
+    two identities.  A prime field takes the same route with k = 1,
+    modulo x: its tables are plain modular arithmetic.
     """
 
     def __init__(self, q: int):
         if q not in SUPPORTED_Q:
             raise ValueError(f"unsupported field size {q}; supported: {SUPPORTED_Q}")
         self.q = q
-        self.p = _smallest_prime_factor(q)
-        self.degree = 1
-        while self.p**self.degree < q:
-            self.degree += 1
-
-        if self.degree == 1:
-            add = [[(a + b) % q for b in range(q)] for a in range(q)]
-            mul = [[a * b % q for b in range(q)] for a in range(q)]
-        else:
-            irr = _IRREDUCIBLE[q]
-            p, k = self.p, self.degree
-            digits = [[(i // p**j) % p for j in range(k)] for i in range(q)]
-            undig = lambda ds: sum(c * p**j for j, c in enumerate(ds))
-            add = [[undig((x + y) % p for x, y in zip(da, db)) for db in digits] for da in digits]
-            mul = [[undig(_poly_mul_mod(da, db, irr, p)) for db in digits] for da in digits]
+        self.p = p = _smallest_prime_factor(q)
+        irr = _IRREDUCIBLE.get(q, (0, 1))  # GF(p) is F_p[x] modulo x
+        k = len(irr) - 1
+        digits = [[(i // p**j) % p for j in range(k)] for i in range(q)]
+        undig = lambda ds: sum(c * p**j for j, c in enumerate(ds))
+        add = [[undig((x + y) % p for x, y in zip(da, db)) for db in digits] for da in digits]
+        mul = [[undig(_poly_mul_mod(da, db, irr, p)) for db in digits] for da in digits]
         # tuples, as `build_field` shares one field per q among all callers
         self.add_table = tuple(map(tuple, add))
         self.mul_table = tuple(map(tuple, mul))

@@ -32,8 +32,9 @@ from itertools import compress, islice
 from .dims import CodeParams, _check_rank, _decimal_or, rho
 from .macaulay import INFINITY, MacaulayRep, _decompose, decompose
 
-# weights that `hierarchy` lists at most: its walk holds about 60 bytes a
-# weight, so a capped hierarchy stays near 300 MB
+# weights that `hierarchy` lists at most.  It bounds their count k, not
+# their size: about 60 bytes a weight, so near 300 MB at the cap, holds
+# only while q^m fits a machine word, and a weight takes m*log2(q) bits
 MAX_WEIGHTS = 5 * 10**6
 
 

@@ -157,6 +157,15 @@ def test_table_d_filter(capsys):
     assert all(line.split(",")[1] == "2" for line in lines[1:])
 
 
+def test_table_clips_wide_ranges_to_the_codes_that_exist(capsys):
+    # each range is clipped to m >= 1 and 1 <= d <= m(q-1), not walked;
+    # a negative bound needs the --m=LO..HI form, as argparse reads -5 as an option
+    argv = ("table", "--q", "2..3", "--m=-5..3", "--d=-1000000000000..1000000000000")
+    proc = _run_python("-m", "rmweights.cli", *argv, timeout=20)
+    code, out, _ = run(capsys, "table", "--q", "2..3", "--m", "1..3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+
 def test_table_leaves_the_prime_power_cache_bounded(capsys):
     code, out, _ = run(capsys, "table", "--q", "2..5000", "--m", "0")
     assert (code, out) == (0, "q,d,m,r,d_r\n")

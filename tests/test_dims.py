@@ -223,8 +223,12 @@ def test_code_params_validation():
         CodeParams(2, 0, 3)
     with pytest.raises(ValueError):
         CodeParams(2, 4, 3)  # d > m(q-1)
-    with pytest.raises(ValueError):
-        CodeParams(2, 1, 0)
+    # CodeParams names its own bound, m >= 1, not the m >= -1 of rho
+    for m in (0, -1, -2, -10**6):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            CodeParams(2, 1, m)
+    with pytest.raises(ValueError, match="m must be >= -1"):
+        rho(2, 1, -2)
     # a float d or m would make the length and weights floats
     for args in ((2, 2, 3.0), (2, 2.0, 3), (2, 2.5, 3)):
         with pytest.raises(TypeError):

@@ -26,14 +26,17 @@ from rmweights.weights import ghw, hierarchy
 
 
 def test_prime_fields_are_modular():
-    f5 = build_field(5)
-    for a in range(5):
-        for b in range(5):
-            assert f5.add(a, b) == (a + b) % 5
-            assert f5.mul(a, b) == (a * b) % 5
-    f2 = build_field(2)
-    assert f2.add(1, 1) == 0
-    assert f2.mul(1, 1) == 1
+    primes = [q for q in SUPPORTED_Q if dims._smallest_prime_factor(q) == q]
+    assert primes == [2, 3, 5, 7, 11, 13]
+    for p in primes:
+        f = build_field(p)
+        for a in range(p):
+            assert f.neg(a) == -a % p
+            if a:
+                assert f.inv(a) == pow(a, -1, p)
+            for b in range(p):
+                assert f.add(a, b) == (a + b) % p
+                assert f.mul(a, b) == (a * b) % p
 
 
 def test_gf4_table():
