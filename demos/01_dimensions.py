@@ -3,8 +3,9 @@
 RM(d, m) over F_q is spanned by the reduced monomials: exponents in
 {0, ..., q-1}^m with total degree at most d.  Its dimension rho_q(d, m)
 therefore counts lattice points, and the package computes that count by
-an inclusion-exclusion formula, by a recursion over the last variable,
-and (for d <= q-1) by a single binomial coefficient.  This script runs
+a closed sum (a partial binomial sum at q = 2, inclusion-exclusion at
+q > 2), by a recursion over the last variable, and (for d <= q-1) by a
+single binomial coefficient.  This script runs
 all three side by side and checks them against literal enumeration.
 """
 

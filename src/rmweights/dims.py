@@ -2,14 +2,18 @@
 
 The dimension of RM(d, m) over F_q equals the number of exponent tuples
 in {0, ..., q-1}^m with coordinate sum at most d.  This module computes
-it by three independent routes (inclusion-exclusion formula, window-sum
-table over the variables, plain binomial for low degrees) so they can
-cross-check each other.  The formula has one kernel, `_rho_upto`, which
-returns rho only up to a bound and gives up early above it; `rho` calls
-it with no bound (math.inf, only ever compared), and the Macaulay greedy
-probes with it directly.  Everything else is unbounded-integer
-arithmetic; no floats.  Error messages across the package name an
-integer past Python's int -> str digit limit symbolically (`_decimal_or`).
+it by three independent routes (closed formula, window-sum table over
+the variables, plain binomial for low degrees) so they can cross-check
+each other.  The formula has one kernel, `_rho_upto`, which returns rho
+only up to a bound and gives up early above it: at q = 2 the partial
+binomial sum sum_{t<=d} C(m, t), d + 1 positive terms stepped down from
+C(m, d), which stops at the first partial sum past the bound; at any
+other q the inclusion-exclusion formula, which stops at the first odd
+partial sum past it.  `rho` calls it with no bound (math.inf, only ever
+compared), and the Macaulay greedy probes with it directly.  Everything
+else is unbounded-integer arithmetic; no floats.  Error messages across
+the package name an integer past Python's int -> str digit limit
+symbolically (`_decimal_or`).
 """
 
 from __future__ import annotations
@@ -61,13 +65,15 @@ def _check_args(q: int, d: int, m: int, m_min: int = -1) -> None:
 
 
 def rho(q: int, d: int, m: int) -> int:
-    """Dimension of RM(d, m) over F_q by the inclusion-exclusion formula.
+    """Dimension of RM(d, m) over F_q by its closed formula (`_rho_upto`).
 
     Conventions: 0 for d < 0 or m = -1, and 1 for d >= 0, m = 0.  For
     d >= m(q-1) the code fills the whole space, so the value is q^m.
-    A call costs min(m, d/q) + 1 terms and checks its arguments first,
-    before any early return.  Nothing is memoized; the Macaulay greedy
-    probes `_rho_upto` with a bound instead.
+    Otherwise a call costs, at q = 2, one binomial C(m, d) and d exact
+    steps down to C(m, 0), and at any other q, min(m, d/q) + 1 terms
+    of two binomials each.  It checks its arguments first, before any
+    early return.  Nothing is memoized; the Macaulay greedy probes
+    `_rho_upto` with a bound instead.
     """
     _check_args(q, d, m)
     return _rho_upto(q, d, m, math.inf)  # never None; q^m would cost a power at big m
@@ -78,17 +84,28 @@ def _rho_upto(q: int, d: int, m: int, bound: int | float) -> int | None:
     caller has checked.
 
     0 for d < 0 or m = -1, and q^m for d >= m(q-1), where every tuple
-    counts (so 1 at m = 0); otherwise the hockey-stick sum: j variables
-    forced to exponent >= q, the degree left spread over m variables and
-    a slack.  Truncated after an odd term j, an inclusion-exclusion sum
-    is <= its value (the Bonferroni inequalities), so an odd partial sum
-    above the bound answers None at once, and a value <= bound takes the
-    whole sum.
+    counts (so 1 at m = 0).  Otherwise, at q = 2, the partial binomial
+    sum sum_{t<=d} C(m, t) over 0 <= d < m: one `math.comb` for C(m, d),
+    then d exact steps C(m, t-1) = C(m, t) * t / (m - t + 1) down to
+    C(m, 0).  Every term is positive, so a partial sum above the bound
+    answers None at once.  At any other q, the hockey-stick sum: j
+    variables forced to exponent >= q, the degree left spread over m
+    variables and a slack.  Truncated after an odd term j, an
+    inclusion-exclusion sum is <= its value (the Bonferroni
+    inequalities), so an odd partial sum above the bound answers None
+    at once.  Either way a value <= bound takes the whole sum.
     """
     if d < 0 or m == -1:
         value = 0
     elif d >= m * (q - 1):
         value = q**m
+    elif q == 2:
+        term = value = math.comb(m, d)
+        for t in range(d, 0, -1):
+            if value > bound:
+                return None
+            term = term * t // (m - t + 1)
+            value += term
     else:
         comb = math.comb
         value = 0

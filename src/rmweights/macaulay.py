@@ -19,10 +19,13 @@ float's 53 bits) and gallops from there.  The guess only picks where the
 exact probes start, so no float reaches a coefficient.  m_1 needs no
 search, as every degree-1 summand is m_1 + 1.  `_probe` makes the
 probe, once per greedy run and nowhere else: for finite q
-`dims._rho_upto`, which gives up on the first partial sum of rho's
-inclusion-exclusion formula past the bound.  The greedy returns the
-bare coefficient tuple; `decompose` is the one place that wraps it in
-a `MacaulayRep`, whose constructor validates it.
+`dims._rho_upto`, which gives up on the first partial sum of rho past
+the bound.  At q = 2 that sum is sum_{t<=i} C(m, t), one `math.comb` for
+C(m, i) and i exact steps down, so a probe that misses often stops after
+a term or two; at any other q it is the inclusion-exclusion formula,
+which stops at its first odd partial sum past the bound.  The greedy
+returns the bare coefficient tuple; `decompose` is the one place that
+wraps it in a `MacaulayRep`, whose constructor validates it.
 """
 
 from __future__ import annotations
@@ -288,9 +291,10 @@ def decompose(n: int, d: int, qparam, top: int | None = None) -> MacaulayRep:
     m_1 is the remainder minus one, capped by its bound, with no probe.
     The greedy makes its own probe (`_probe`), for finite q
     `dims._rho_upto`, which skips the argument checks (q is checked here
-    once, and the greedy makes i and m) and stops on the first odd
-    partial sum of rho past the remainder; the summand of each
-    coefficient is the value its last fitting probe returned.
+    once, and the greedy makes i and m) and stops on the first partial
+    sum of rho past the remainder (at q > 2 the first odd one); the
+    summand of each coefficient is the value its last fitting probe
+    returned.
     """
     _check_qparam(qparam)
     if not (isinstance(n, int) and isinstance(d, int) and isinstance(top, (int, type(None)))):

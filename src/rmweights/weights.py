@@ -32,9 +32,10 @@ from itertools import compress, islice
 from .dims import CodeParams, _check_rank, _decimal_or, rho
 from .macaulay import INFINITY, MacaulayRep, _decompose, decompose
 
-# weights that `hierarchy` lists at most.  It bounds their count k, not
-# their size: about 60 bytes a weight, so near 300 MB at the cap, holds
-# only while q^m fits a machine word, and a weight takes m*log2(q) bits
+# weights that `hierarchy` lists at most, about 60 bytes each while q^m
+# fits a machine word, so near 300 MB at the cap.  A weight takes
+# m*log2(q) bits, so past a word the cap bounds their bits as well: k
+# weights of b bits count as k*b/64 weights of a word
 MAX_WEIGHTS = 5 * 10**6
 
 
@@ -219,18 +220,27 @@ def _walk(q: int, d: int, m: int) -> list[int]:
 
 def check_hierarchy_cap(params: CodeParams) -> None:
     """Raise ValueError if the hierarchy of `params` has more weights
-    (rho_q(d, m)) than MAX_WEIGHTS."""
+    (rho_q(d, m)) than MAX_WEIGHTS, or more bits than MAX_WEIGHTS
+    weights of 64 bits.  The bits of a weight are counted from the bit
+    lengths of q and m, as m * (bits of q - 1) + 1, before any weight is
+    made: the bits of q^m for q a power of 2, and over 0.6 of them for
+    any other q, so a code with q^m < 2^64 is never refused for its bits."""
     if (k := params.dimension) > MAX_WEIGHTS:
         shown = _decimal_or(k, f"rho_{params.q}({params.d}, {params.m})")
         raise ValueError(
             f"{shown} weights exceed the hierarchy cap {MAX_WEIGHTS}; use ghw for single ranks"
+        )
+    if k * (bits := params.m * (params.q.bit_length() - 1) + 1) > MAX_WEIGHTS * 64:
+        raise ValueError(
+            f"{k} weights of at least {bits} bits exceed the hierarchy cap of"
+            f" {MAX_WEIGHTS} 64-bit weights; use ghw for single ranks"
         )
 
 
 def hierarchy(params: CodeParams) -> WeightHierarchy:
     """Compute d_r for every r = 1, ..., rho_q(d, m) in one pass over
     the digit sums (`_weights`), with no Macaulay greedy per rank.
-    A code with more than MAX_WEIGHTS weights is refused before the pass."""
+    A code past the cap (`check_hierarchy_cap`) is refused before the pass."""
     check_hierarchy_cap(params)
     return WeightHierarchy(params, tuple(_weights(params.q, params.d, params.m)))
 

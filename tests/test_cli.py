@@ -166,6 +166,23 @@ def test_table_clips_wide_ranges_to_the_codes_that_exist(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
+def test_ghw_answers_a_big_binary_query_in_seconds():
+    # about 1,100 probes of rho_2 at degrees up to 1000 over m = 2000 bits:
+    # under 1 s by the partial binomial sum, about 16 s by the alternating
+    # sum that serves q > 2.  e_bar has 939 ones on top, then 1,061 bits:
+    low = int(
+        "4000000000000000005002000400000000004800c000004004000060080100"
+        "0420000004400000000000010000000000208004000002008041000090800001"
+        "0000000240080040000008000000000000000000028080020000000008000002"
+        "0000000406004001000000040010680020010000000000410000080020008000"
+        "400800", 16)
+    e_bar = (1 << 2000) - (1 << 1061) + low
+    argv = ("ghw", "--q", "2", "--d", "1000", "--m", "2000", "--r", str(10**100))
+    proc = _run_python("-m", "rmweights.cli", *argv, timeout=10)
+    expected = f"d_r = {2**2000 - e_bar} (e_bar = {e_bar})\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
 def test_table_leaves_the_prime_power_cache_bounded(capsys):
     code, out, _ = run(capsys, "table", "--q", "2..5000", "--m", "0")
     assert (code, out) == (0, "q,d,m,r,d_r\n")
@@ -527,6 +544,16 @@ def _run_python(*args, timeout=60, **env):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def test_hierarchy_and_table_refuse_weights_past_the_cap_in_bits(capsys):
+    # 40,001 weights of 40,001 bits pass the count but not the bits
+    message = (
+        f"error: 40001 weights of at least 40001 bits exceed the hierarchy cap of"
+        f" {weights.MAX_WEIGHTS} 64-bit weights; use ghw for single ranks\n"
+    )
+    for cmd in ("hierarchy", "table"):
+        assert run(capsys, cmd, "--q", "2", "--d", "1", "--m", "40000") == (2, "", message)
 
 
 def test_hierarchy_cap_names_a_dimension_too_long_for_decimal():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -112,8 +113,37 @@ def test_rho_upto_is_rho_up_to_the_bound():
             assert _rho_upto(q, d, m, bound) == expected, (q, d, m, bound)
 
 
+def _hockey_stick(q, d, m):
+    """rho by its inclusion-exclusion sum, for d >= 0 and m >= 0 (0 for d < 0 or m = -1)."""
+    return sum((-1) ** j * math.comb(m, j) * math.comb(m + d - q * j, m)
+               for j in range(min(m, d // q) + 1))
+
+
+def test_binary_rho_upto_is_the_partial_binomial_sum_up_to_the_bound():
+    # q = 2 sums C(m, d), ..., C(m, 0) and gives up at the first partial
+    # sum past the bound; every exit must give the value or None
+    rng = random.Random(2)
+    for m in range(-1, 61):
+        for d in range(-2, m + 3):
+            value = rho_recursive(2, d, m)
+            assert value == _hockey_stick(2, d, m), (d, m)
+            for bound in (0, value - 1, value, value + 1, rng.randrange(value + 2), math.inf):
+                expected = value if value <= bound else None
+                assert _rho_upto(2, d, m, bound) == expected, (d, m, bound)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 700, 999, 1000, 1001, 1997, 1998])
+def test_binary_rho_keeps_duality_and_pascals_rule_at_scale(d):
+    m = 2000
+    value = rho(2, d, m)
+    # RM duality: the dual of RM_2(d, m) is RM_2(m - d - 1, m)
+    assert value + rho(2, m - d - 1, m) == 2**m
+    assert value == rho(2, d, m - 1) + rho(2, d - 1, m - 1)  # Pascal's rule
+    assert (_rho_upto(2, d, m, value), _rho_upto(2, d, m, value - 1)) == (value, None)
+
+
 def test_partial_sums_of_rho_alternate_around_it():
-    # the Bonferroni inequalities that let `_rho_upto` give up early
+    # the Bonferroni inequalities that let `_rho_upto` give up early at q > 2
     for q, d, m in _sweep_args():
         if d < 0 or m < 1 or d > m * (q - 1):
             continue  # an early return, no sum

@@ -362,6 +362,25 @@ def test_hierarchy_refuses_codes_over_the_weight_cap_before_the_walk(monkeypatch
         hierarchy(p)
 
 
+def test_hierarchy_refuses_weights_past_the_cap_in_bits_before_the_walk(monkeypatch):
+    # k weights of b bits count as k * b / 64 weights of 64 bits
+    monkeypatch.setattr("rmweights.weights.MAX_WEIGHTS", 2017)
+    assert len(hierarchy(CodeParams(2, 2, 63))) == 2017  # 1 + 63 + 1953 weights of 64 bits
+    monkeypatch.setattr("rmweights.weights._weights", lambda *args: pytest.fail("walked"))
+    cap = "the hierarchy cap of {} 64-bit weights; use ghw for single ranks"
+    monkeypatch.setattr("rmweights.weights.MAX_WEIGHTS", 2081)
+    with pytest.raises(ValueError, match=f"^2081 weights of at least 65 bits exceed {cap.format(2081)}$"):
+        hierarchy(CodeParams(2, 2, 64))  # 1 + 64 + 2016 weights of 65 bits
+    # at the real cap: 40,001 weights of 40,001 bits would hold about 200 MB
+    monkeypatch.setattr("rmweights.weights.MAX_WEIGHTS", MAX_WEIGHTS)
+    message = f"^40001 weights of at least 40001 bits exceed {cap.format(MAX_WEIGHTS)}$"
+    with pytest.raises(ValueError, match=message):
+        hierarchy(CodeParams(2, 1, 40000))
+    # the bits of q^m are counted from the bit length of q: 3^m has at least m + 1
+    with pytest.raises(ValueError, match="^40001 weights of at least 40001 bits"):
+        hierarchy(CodeParams(3, 1, 40000))
+
+
 def test_e_bars_holds_no_state_across_calls(monkeypatch):
     for q in (2, 3, 4, 5, 7, 8, 9):
         m = 1
