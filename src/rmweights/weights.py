@@ -19,11 +19,14 @@ with digit sum <= d in descending lex order (Heijnen & Pellikaan, IEEE
 Trans. IT 44(1), 1998), so the weights are the w in 1..q^m whose
 q^m - w has digit sum <= d.  It lists them in one pass (`_weights`): a
 C-level scan of a table of digit sums for a small code with many
-weights, and a walk over the digit tuples for any other.
+weights, and a walk over the digit tuples for any other.  The table
+depends on (q, m) alone, so `_digit_sums` builds it once per (q, m) and
+keeps it for the process.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -179,20 +182,33 @@ def _scan(q: int, d: int, m: int) -> list[int]:
     and m(q-1) <= 255.
 
     The base-q digits of q^m - w are those of t = w - 1 taken from q - 1,
-    so they sum to at most d iff t has digit sum >= m(q-1) - d.  The
-    digit sums of t = 0, ..., q^m - 1 are one `bytes` string, one byte
-    each (none passes m(q-1) <= 255), built by q translate-and-join
-    steps per digit; one translate turns it into a 0/1 mask of the t
-    that qualify, and `itertools.compress` keeps their w = t + 1.
+    so they sum to at most d iff t has digit sum >= m(q-1) - d.  One
+    translate turns the digit sums of t = 0, ..., q^m - 1 (`_digit_sums`,
+    built once per (q, m)) into a 0/1 mask of the t that qualify, and
+    `itertools.compress` keeps their w = t + 1.
     """
+    low = m * (q - 1) - d
+    mask = _digit_sums(q, m).translate(bytes(low) + b"\1" * (256 - low))
+    return list(compress(range(1, q**m + 1), mask))
+
+
+# bounded by its keys: only the scan's (q, m) reach it, with m(q-1) <= 255
+# and q^m <= 2^16, so at most 170 tables of 971,735 bytes in all over the
+# prime powers q that `CodeParams` admits (465 tables, 2.14 MB, over every
+# q <= 256 if `_scan` is called directly)
+@functools.cache
+def _digit_sums(q: int, m: int) -> bytes:
+    """The base-q digit sums of t = 0, ..., q^m - 1 as one `bytes`, one
+    byte each (none passes m(q-1) <= 255), built by q translate-and-join
+    steps per digit on the first call for (q, m) and shared by every later
+    one; `_digit_sums.cache_info()` counts the builds (misses) and the
+    reuses (hits)."""
     ramp = bytes(range(256)) * 2  # ramp[a:a + 256] maps byte x to x + a (mod 256)
     sums = b"\0"  # the one empty digit string, of sum 0
     for _ in range(m):
         # a new top digit a adds a to every sum so far
         sums = b"".join(sums.translate(ramp[a:a + 256]) for a in range(q))
-    low = m * (q - 1) - d
-    mask = sums.translate(bytes(low) + b"\1" * (256 - low))
-    return list(compress(range(1, q**m + 1), mask))
+    return sums
 
 
 def _walk(q: int, d: int, m: int) -> list[int]:

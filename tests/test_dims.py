@@ -132,14 +132,25 @@ def test_binary_rho_upto_is_the_partial_binomial_sum_up_to_the_bound():
                 assert _rho_upto(2, d, m, bound) == expected, (d, m, bound)
 
 
-@pytest.mark.parametrize("d", [0, 1, 2, 700, 999, 1000, 1001, 1997, 1998])
+def _assert_rho_identities_at(q, d, m):
+    value = rho(q, d, m)
+    # RM duality: the dual of RM_q(d, m) is RM_q(m(q-1) - d - 1, m)
+    assert value + rho(q, m * (q - 1) - d - 1, m) == q**m
+    # the window recurrence over the top digit; at q = 2 it is Pascal's rule
+    assert value == sum(rho(q, d - v, m - 1) for v in range(q))
+    assert (_rho_upto(q, d, m, value), _rho_upto(q, d, m, value - 1)) == (value, None)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 666, 700, 999, 1000, 1001, 1997, 1998, 1999])
 def test_binary_rho_keeps_duality_and_pascals_rule_at_scale(d):
-    m = 2000
-    value = rho(2, d, m)
-    # RM duality: the dual of RM_2(d, m) is RM_2(m - d - 1, m)
-    assert value + rho(2, m - d - 1, m) == 2**m
-    assert value == rho(2, d, m - 1) + rho(2, d - 1, m - 1)  # Pascal's rule
-    assert (_rho_upto(2, d, m, value), _rho_upto(2, d, m, value - 1)) == (value, None)
+    _assert_rho_identities_at(2, d, 2000)
+
+
+@pytest.mark.parametrize("q, m", [(3, 200), (4, 200), (5, 180), (7, 150), (8, 150), (9, 150), (16, 150)])
+def test_rho_keeps_duality_and_the_window_recurrence_at_scale(q, m):
+    top = m * (q - 1)
+    for d in (0, 1, q - 1, q, top // 3, top // 2, top - q, top - 1):
+        _assert_rho_identities_at(q, d, m)
 
 
 def test_partial_sums_of_rho_alternate_around_it():

@@ -327,6 +327,7 @@ def test_the_scan_matches_the_walk_on_every_small_code_it_takes():
     (257, 100, 1, "_walk"),  # m(q - 1) = 256 does not
 ])
 def test_weights_scans_small_dense_codes_and_walks_the_rest(monkeypatch, q, d, m, path):
+    weights._digit_sums.cache_clear()
     taken = []
     for name in ("_scan", "_walk"):
         real = getattr(weights, name)
@@ -338,10 +339,44 @@ def test_weights_scans_small_dense_codes_and_walks_the_rest(monkeypatch, q, d, m
     for v in range(1, q**m):
         digit_sums.append(digit_sums[v // q] + v % q)
     assert h == [w for w in range(1, q**m + 1) if digit_sums[q**m - w] <= d]
+    # only the scan builds a digit-sum table
+    assert weights._digit_sums.cache_info().currsize == (path == "_scan")
+
+
+def test_every_code_of_one_length_shares_one_digit_sum_table():
+    q, m = 3, 6
+    weights._digit_sums.cache_clear()
+    scans = 0
+    # a dual pair C, C-perp first, then every d at the same (q, m)
+    for d in (5, m * (q - 1) - 5 - 1, *range(1, m * (q - 1) + 1)):
+        hierarchy(CodeParams(q, d, m))
+        scans += _scanned(q, d, m)
+    assert scans > 2
+    info = weights._digit_sums.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, scans - 1, 1)
+
+
+def test_the_digit_sum_cache_is_bounded_by_the_scans_domain():
+    # the (q, m) that `_weights` lets reach the scan, over every q `CodeParams` admits
+    domain = [
+        (q, m)
+        for q in filter(is_prime_power, range(2, 257))
+        for m in range(1, 17)  # q^m <= 2^16 leaves m <= 16
+        if m * (q - 1) <= 255 and q**m <= 1 << 16
+    ]
+    assert (len(domain), sum(q**m for q, m in domain)) == (170, 971_735)
+    weights._digit_sums.cache_clear()
+    try:
+        for q, m in domain:
+            assert len(weights._digit_sums(q, m)) == q**m
+        assert weights._digit_sums.cache_info().currsize == 170
+    finally:
+        weights._digit_sums.cache_clear()
 
 
 def test_hierarchy_peak_memory_stays_near_its_result():
     p = CodeParams(2, 8, 16)  # k = 39,203
+    weights._digit_sums.cache_clear()  # so the peak holds the table's build
     tracemalloc.start()
     try:
         h = hierarchy(p)
