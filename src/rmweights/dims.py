@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 
@@ -189,9 +189,11 @@ class CodeParams:
         """Block length q^m of the code."""
         return self.q**self.m
 
-    @property
+    @cached_property
     def dimension(self) -> int:
-        """Code dimension rho_q(d, m)."""
+        """Code dimension rho_q(d, m), evaluated on the first read and kept
+        in the instance's `__dict__` (not a field, so `==`, `hash`, `repr`
+        and `asdict` never see it), so every later read costs no `rho`."""
         return rho(self.q, self.d, self.m)
 
 

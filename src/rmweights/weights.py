@@ -21,7 +21,10 @@ q^m - w has digit sum <= d.  It lists them in one pass (`_weights`): a
 C-level scan of a table of digit sums for a small code with many
 weights, and a walk over the digit tuples for any other.  The table
 depends on (q, m) alone, so `_digit_sums` builds it once per (q, m) and
-keeps it for the process.
+keeps it for the process.  The scan keeps its weights from one shared
+tuple of the ints 1..N, N the power of two at or above q^m (`_ints`, at
+most 17 tuples and 131,071 ints in all), so a scanned hierarchy holds a
+pointer per weight and equal weights of any two are the same objects.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ class WeightHierarchy:
         return self.weights[r - 1]
 
 
-def _weights(q: int, d: int, m: int) -> list[int]:
+def _weights(params: CodeParams) -> tuple[int, ...]:
     """d_r = q^m - e_bar(r) for r = 1, ..., rho_q(d, m), in that order.
 
     Through `coeffs_to_mu`, rank r is the r-th digit tuple with digit
@@ -171,13 +174,16 @@ def _weights(q: int, d: int, m: int) -> list[int]:
     digit sum <= d.  A code with q^m <= 2^16, m(q-1) <= 255 and at least
     q^m / 8 weights takes `_scan`, whose cost is q^m steps in C; every
     other code takes `_walk`, whose cost is O(1) Python steps a weight.
+    The density test reads the cached `params.dimension`, so a call adds
+    no `rho` to the one that the cap and `WeightHierarchy` share.
     """
-    if m * (q - 1) <= 255 and (n := q**m) <= 1 << 16 and 8 * rho(q, d, m) >= n:
+    q, d, m = params.q, params.d, params.m
+    if m * (q - 1) <= 255 and (n := q**m) <= 1 << 16 and 8 * params.dimension >= n:
         return _scan(q, d, m)
     return _walk(q, d, m)
 
 
-def _scan(q: int, d: int, m: int) -> list[int]:
+def _scan(q: int, d: int, m: int) -> tuple[int, ...]:
     """`_weights` by one pass over a table of digit sums, for q^m <= 2^16
     and m(q-1) <= 255.
 
@@ -185,11 +191,25 @@ def _scan(q: int, d: int, m: int) -> list[int]:
     so they sum to at most d iff t has digit sum >= m(q-1) - d.  One
     translate turns the digit sums of t = 0, ..., q^m - 1 (`_digit_sums`,
     built once per (q, m)) into a 0/1 mask of the t that qualify, and
-    `itertools.compress` keeps their w = t + 1.
+    `itertools.compress` keeps their w = t + 1 from the shared ints
+    1, 2, ... of `_ints`, stopping at the end of the mask: the weights
+    are pointers to those ints, and the scan makes no int of its own.
     """
     low = m * (q - 1) - d
     mask = _digit_sums(q, m).translate(bytes(low) + b"\1" * (256 - low))
-    return list(compress(range(1, q**m + 1), mask))
+    return tuple(compress(_ints(1 << (q**m - 1).bit_length()), mask))
+
+
+# bounded by its keys: the scan asks for the power of two at or above
+# q^m <= 2^16, so at most 17 tuples of 131,071 ints in all, about 5 MB
+# (16 tuples of 131,070 over the codes `CodeParams` admits, where q^m >= 2)
+@functools.cache
+def _ints(size: int) -> tuple[int, ...]:
+    """The ints 1, ..., size as one tuple, built on the first call for
+    size and shared by every scan whose q^m rounds up to it, so equal
+    weights of any two scanned hierarchies are the same objects;
+    `_ints.cache_info()` counts the builds (misses) and the reuses (hits)."""
+    return tuple(range(1, size + 1))
 
 
 # bounded by its keys: only the scan's (q, m) reach it, with m(q-1) <= 255
@@ -211,7 +231,7 @@ def _digit_sums(q: int, m: int) -> bytes:
     return sums
 
 
-def _walk(q: int, d: int, m: int) -> list[int]:
+def _walk(q: int, d: int, m: int) -> tuple[int, ...]:
     """`_weights` by a walk over the digit tuples, for any code.
 
     The descending e_bar column is built from the least significant
@@ -231,7 +251,8 @@ def _walk(q: int, d: int, m: int) -> list[int]:
             tails[s] += below[s]  # digit 0 subtracts nothing, so its entries are shared
         for s in range(full + 1, d + 1):
             tails[s] = tails[full]
-    return tails[d]
+    del below  # free the lists of the digits below before the copy to a tuple
+    return tuple(tails[d])
 
 
 def check_hierarchy_cap(params: CodeParams) -> None:
@@ -258,7 +279,7 @@ def hierarchy(params: CodeParams) -> WeightHierarchy:
     the digit sums (`_weights`), with no Macaulay greedy per rank.
     A code past the cap (`check_hierarchy_cap`) is refused before the pass."""
     check_hierarchy_cap(params)
-    return WeightHierarchy(params, tuple(_weights(params.q, params.d, params.m)))
+    return WeightHierarchy(params, _weights(params))
 
 
 def mu_tuple(params: CodeParams, r: int) -> tuple[int, ...]:

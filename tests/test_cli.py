@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -181,6 +182,16 @@ def test_ghw_answers_a_big_binary_query_in_seconds():
     proc = _run_python("-m", "rmweights.cli", *argv, timeout=10)
     expected = f"d_r = {2**2000 - e_bar} (e_bar = {e_bar})\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
+def test_hierarchy_prints_a_full_length_scan_byte_for_byte(capsys):
+    # q^m = 4^8 = 2^16, the longest code the scan takes (k = 36,814); its
+    # bytes are read off the walk, a route that shares no code with the
+    # scan, and their sha256 is the one the CI console-script step checks
+    expected = " ".join(map(str, weights._walk(4, 12, 8))) + "\n"
+    digest = "1f61779bebf0df6b7607829a1f275e892767f41026736b1f6e677ddc67d0ddbf"
+    assert hashlib.sha256(expected.encode()).hexdigest() == digest
+    assert run(capsys, "hierarchy", "--q", "4", "--d", "12", "--m", "8") == (0, expected, "")
 
 
 def test_table_leaves_the_prime_power_cache_bounded(capsys):

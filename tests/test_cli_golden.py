@@ -508,7 +508,7 @@ def walk_off_at_rank_2(monkeypatch):
     """Make the digit walk give (4, 5, 7, 8) for (2, 1, 3), whose weights
     are (4, 6, 7, 8): still strictly increasing and ending at q^m, so
     only the comparison can catch it."""
-    monkeypatch.setattr(weights, "_weights", lambda q, d, m: [4, 5, 7, 8])
+    monkeypatch.setattr(weights, "_weights", lambda params: (4, 5, 7, 8))
 
 
 def _check(capsys, argv, code, out, err):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -274,6 +276,26 @@ def test_code_params_validation():
     for args in ((2, 2, 3.0), (2, 2.0, 3), (2, 2.5, 3)):
         with pytest.raises(TypeError):
             CodeParams(*args)
+
+
+def test_code_params_act_the_same_whether_or_not_the_dimension_was_read():
+    # `dimension` is kept in the instance's __dict__ on its first read, not as a field
+    read, unread = CodeParams(3, 4, 5), CodeParams(3, 4, 5)
+    assert read.dimension == rho(3, 4, 5) == 96
+    assert "dimension" in vars(read) and "dimension" not in vars(unread)
+    assert read == unread and hash(read) == hash(unread)
+    assert repr(read) == repr(unread) == "CodeParams(q=3, d=4, m=5)"
+    assert dataclasses.asdict(read) == dataclasses.asdict(unread) == {"q": 3, "d": 4, "m": 5}
+    for p in (read, unread):
+        other = dataclasses.replace(p, d=2)  # a new code, with its own dimension
+        assert (other, other.dimension) == (CodeParams(3, 2, 5), rho(3, 2, 5))
+        back = pickle.loads(pickle.dumps(p))
+        assert (back, hash(back), repr(back)) == (p, hash(p), repr(p))
+        assert back.dimension == 96
+        for name in ("d", "dimension"):  # still frozen, the kept value too
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, 1)
+    assert read.dimension == unread.dimension == 96
 
 
 @settings(deadline=None)

@@ -76,15 +76,20 @@ def _greedy_ranks(p):
 
 
 def test_ghw_calls_rho_once(monkeypatch):
-    # k is the only exact rho; every summand comes from the probes
+    # k is the only exact rho; every summand comes from the probes.  k is
+    # kept on the instance once read, so each rank gets a fresh CodeParams,
+    # and a second query on the same one evaluates no rho at all
     calls = []
     for name in ("rmweights.dims.rho", "rmweights.macaulay.rho"):
         monkeypatch.setattr(name, lambda *args: calls.append(args) or rho(*args))
     for p in GREEDY_CODES:
         for r in _greedy_ranks(p):
+            fresh = CodeParams(p.q, p.d, p.m)
             calls.clear()
-            ghw(p, r)
+            ghw(fresh, r)
             assert calls == [(p.q, p.d, p.m)], (p, r)
+            ghw(fresh, r)
+            assert len(calls) == 1, (p, r)
 
 
 def test_decompose_probes_each_summand_once(monkeypatch):
@@ -328,6 +333,7 @@ def test_the_scan_matches_the_walk_on_every_small_code_it_takes():
 ])
 def test_weights_scans_small_dense_codes_and_walks_the_rest(monkeypatch, q, d, m, path):
     weights._digit_sums.cache_clear()
+    weights._ints.cache_clear()
     taken = []
     for name in ("_scan", "_walk"):
         real = getattr(weights, name)
@@ -339,8 +345,36 @@ def test_weights_scans_small_dense_codes_and_walks_the_rest(monkeypatch, q, d, m
     for v in range(1, q**m):
         digit_sums.append(digit_sums[v // q] + v % q)
     assert h == [w for w in range(1, q**m + 1) if digit_sums[q**m - w] <= d]
-    # only the scan builds a digit-sum table
+    # only the scan builds a digit-sum table and a tuple of shared ints
     assert weights._digit_sums.cache_info().currsize == (path == "_scan")
+    assert weights._ints.cache_info().currsize == (path == "_scan")
+
+
+def test_hierarchy_evaluates_rho_once(monkeypatch):
+    # the cap, the scan's density test and `WeightHierarchy` share the one
+    # value that `CodeParams.dimension` keeps
+    calls = []
+    monkeypatch.setattr(
+        "rmweights.dims._rho_upto", lambda q, d, m, bound: calls.append((q, d, m)) or _rho_upto(q, d, m, bound)
+    )
+    for q, d, m in ((2, 8, 16), (4, 5, 5), (4, 2, 5), (2, 9, 17)):  # two scans, two walks
+        calls.clear()
+        hierarchy(CodeParams(q, d, m))
+        assert calls == [(q, d, m)], (q, d, m)
+
+
+def test_scanned_hierarchies_share_their_equal_weights():
+    # a dual pair of length 2^10, then a code of q^m = 4^5 = 2^10; all scan
+    codes = [(2, 3, 10), (2, 6, 10), (4, 5, 5)]
+    assert all(_scanned(*code) for code in codes)
+    first, shared = {}, 0
+    for q, d, m in codes:
+        for w in hierarchy(CodeParams(q, d, m)):
+            if w in first:
+                assert first[w] is w, ((q, d, m), w)
+                shared += w > 256  # past the ints that Python itself shares
+            first.setdefault(w, w)
+    assert shared > 200
 
 
 def test_every_code_of_one_length_shares_one_digit_sum_table():
@@ -356,14 +390,18 @@ def test_every_code_of_one_length_shares_one_digit_sum_table():
     assert (info.misses, info.hits, info.currsize) == (1, scans - 1, 1)
 
 
-def test_the_digit_sum_cache_is_bounded_by_the_scans_domain():
-    # the (q, m) that `_weights` lets reach the scan, over every q `CodeParams` admits
-    domain = [
+def _scan_domain():
+    """The (q, m) that `_weights` lets reach the scan, over every q `CodeParams` admits."""
+    return [
         (q, m)
         for q in filter(is_prime_power, range(2, 257))
         for m in range(1, 17)  # q^m <= 2^16 leaves m <= 16
         if m * (q - 1) <= 255 and q**m <= 1 << 16
     ]
+
+
+def test_the_digit_sum_cache_is_bounded_by_the_scans_domain():
+    domain = _scan_domain()
     assert (len(domain), sum(q**m for q, m in domain)) == (170, 971_735)
     weights._digit_sums.cache_clear()
     try:
@@ -374,17 +412,51 @@ def test_the_digit_sum_cache_is_bounded_by_the_scans_domain():
         weights._digit_sums.cache_clear()
 
 
-def test_hierarchy_peak_memory_stays_near_its_result():
-    p = CodeParams(2, 8, 16)  # k = 39,203
-    weights._digit_sums.cache_clear()  # so the peak holds the table's build
+def test_the_int_cache_is_bounded_by_the_scans_domain():
+    # every length the scan admits asks for the power of two at or above
+    # q^m: 2, 4, ..., 2^16, within the stated 17 tuples of 131,071 ints
+    domain = _scan_domain()
+    sizes = {1 << (q**m - 1).bit_length() for q, m in domain}
+    assert (len(sizes), sum(sizes)) == (16, 131_070)
+    weights._digit_sums.cache_clear()
+    weights._ints.cache_clear()
+    try:
+        for q, m in domain:
+            assert len(_scan(q, m * (q - 1), m)) == q**m  # d = m(q-1) keeps every w
+        hierarchy(CodeParams(2, 9, 17))  # a walk adds no tuple
+        assert weights._ints.cache_info().currsize == 16
+        # the cached sizes are exactly these: reading each again builds none
+        assert all(len(weights._ints(size)) == size for size in sizes)
+        assert weights._ints.cache_info().misses == 16
+    finally:
+        weights._digit_sums.cache_clear()
+        weights._ints.cache_clear()
+
+
+def _peak_over_result(p):
+    """The tracemalloc peak of `hierarchy(p)` over the size of its weights."""
     tracemalloc.start()
     try:
         h = hierarchy(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = sys.getsizeof(h.weights) + sum(map(sys.getsizeof, h.weights))
-    assert peak <= 2.5 * size
+    return peak / (sys.getsizeof(h.weights) + sum(map(sys.getsizeof, h.weights)))
+
+
+def test_hierarchy_peak_memory_stays_near_its_result():
+    p = CodeParams(2, 8, 16)  # k = 39,203
+    # cold caches, so the peak holds the table's build and the shared ints
+    weights._digit_sums.cache_clear()
+    weights._ints.cache_clear()
+    assert _peak_over_result(p) <= 2.5
+
+
+def test_the_walks_peak_memory_stays_near_its_result():
+    # the walk frees the lists of the lower digits before its copy to a
+    # tuple: 1.72 times the result, against 1.94 with them kept alive
+    p = CodeParams(2, 9, 17)  # k = 89,846, past the scan's q^m <= 2^16
+    assert _peak_over_result(p) <= 1.8
 
 
 def test_hierarchy_refuses_codes_over_the_weight_cap_before_the_walk(monkeypatch):
