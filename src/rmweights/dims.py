@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 
 
@@ -189,12 +189,17 @@ class CodeParams:
         """Block length q^m of the code."""
         return self.q**self.m
 
-    @cached_property
+    @property
     def dimension(self) -> int:
         """Code dimension rho_q(d, m), evaluated on the first read and kept
         in the instance's `__dict__` (not a field, so `==`, `hash`, `repr`
-        and `asdict` never see it), so every later read costs no `rho`."""
-        return rho(self.q, self.d, self.m)
+        and `asdict` never see it), so every later read costs no `rho`.
+        A plain dict read, where `functools.cached_property` takes a lock
+        on Python 3.11: a fresh code, read once, pays no more than that."""
+        kept = self.__dict__
+        if (k := kept.get("dimension")) is None:
+            k = kept["dimension"] = rho(self.q, self.d, self.m)
+        return k
 
 
 def _check_rank(params: CodeParams, r: int) -> int:

@@ -11,14 +11,17 @@ returns the degree-i summand at m when it is <= bound and None
 otherwise; the summand of each coefficient is the value of its last
 probe that fit, so no summand is evaluated twice.  The two conditions
 bound each coefficient from above: by the one above it, and by one less
-after a run of q - 1 equal coefficients.  The search probes that bound
-first, since many coefficients lie at it; then it probes just above a
-guess that the remainder gives (`_estimate`, a float inversion of a
-binomial that stands in for the summand, or an integer one past a
-float's 53 bits) and gallops from there.  The guess only picks where the
-exact probes start, so no float reaches a coefficient.  m_1 needs no
-search, as every degree-1 summand is m_1 + 1.  `_probe` makes the
-probe, once per greedy run and nowhere else: for finite q
+after a run of q - 1 equal coefficients.  Coefficients at their bound
+cluster: one that follows a coefficient at its own bound lies at it far
+more often than one that follows a coefficient below it.  So the search
+probes that bound first only after a coefficient at its bound (and on a
+run's first search); otherwise it first probes just above a guess that
+the remainder gives (`_estimate`, a float inversion of a binomial that
+stands in for the summand, or an integer one past a float's 53 bits),
+and the bound only if that fit.  Then it gallops.  The guess only picks
+where the exact probes start, so no float reaches a coefficient.  m_1
+needs no search, as every degree-1 summand is m_1 + 1.  `_probe` makes
+the probe, once per greedy run and nowhere else: for finite q
 `dims._rho_upto`, which gives up on the first partial sum of rho past
 the bound.  At q = 2 that sum is sum_{t<=i} C(m, t), one `math.comb` for
 C(m, i) and i exact steps down, so a probe that misses often stops after
@@ -176,7 +179,8 @@ def _iroot(n: int, k: int, hint: int) -> int:
     return x
 
 
-def _greedy_coefficient(fit, i: int, remainder: int, hi: int | None, qparam) -> tuple[int, int]:
+def _greedy_coefficient(fit, i: int, remainder: int, hi: int | None, qparam,
+                        bound_first: bool) -> tuple[int, int]:
     """Largest m in [-1, hi] with term(i, m) <= remainder, and term(i, m).
 
     term(i, m) is a degree-i summand with respect to qparam, strictly
@@ -185,27 +189,36 @@ def _greedy_coefficient(fit, i: int, remainder: int, hi: int | None, qparam) -> 
     and the remainder is at least 1.  The answer's term is the value of
     the last probe that fit, so no summand is evaluated twice.  The
     search keeps a bracket: lo fits (-1 at first, whose term is 0) and
-    hi misses, or is None with no bound.  A bound hi is probed first,
-    since many coefficients lie at it.  Then m = g + 1 is probed, for
-    the guess g of `_estimate`, if it lies inside the bracket.  From the
-    end of the bracket that a probe moved last (lo if neither moved and
-    there is no bound) the search gallops toward the other end: lo + 1,
-    lo + 3, lo + 7, ... up, or hi - 1, hi - 3, hi - 7, ... down, to the
-    first probe that crosses, and bisects only that last step.  An
-    answer that lies j from that end thus takes at most
-    2 * j.bit_length() probes after it.  The guess only steers: each
-    answer is settled by exact probes, a fit at it and a miss at the
-    next m (or the bound).
+    hi misses, or is None with no bound.  With `bound_first`, which
+    `_decompose` sets where the coefficient above sat at its own bound,
+    a bound hi is probed first, since the next one then often does too.
+    Then m = g + 1 is probed, for the guess g of `_estimate`, if it lies
+    inside the bracket.  Without `bound_first` the bound is probed only
+    after that, and only if g + 1 fit or there was no such guess.  From
+    the end of the bracket that a probe moved last (lo if neither moved
+    and there is no bound) the search gallops toward the other end:
+    lo + 1, lo + 3, lo + 7, ... up, or hi - 1, hi - 3, hi - 7, ... down,
+    to the first probe that crosses, and bisects only that last step.
+    An answer that lies j from that end thus takes at most
+    2 * j.bit_length() probes after it, and one that lies gap below the
+    coefficient above at most 2 * gap.bit_length() + 1 in all; one probe
+    more only where the answer is the bound and `bound_first` is unset
+    (g + 1, then the bound).  The guess only steers: each answer is
+    settled by exact probes, a fit at it and a miss at the next m (or
+    the bound).
     """
-    if hi is not None and (value := fit(i, hi, remainder)) is not None:
+    lo, lo_value, bound = -1, 0, hi
+    if bound_first and hi is not None and (value := fit(i, hi, remainder)) is not None:
         return hi, value
-    lo, lo_value = -1, 0
     guess = _estimate(qparam, i, remainder)
     if guess is not None and (hi is None or guess + 1 < hi):
         if (value := fit(i, guess + 1, remainder)) is None:
             hi = guess + 1
         else:
             lo, lo_value = guess + 1, value
+    if not bound_first and hi is not None and hi == bound:
+        if (value := fit(i, hi, remainder)) is not None:
+            return hi, value
     step = 1
     if hi is None or lo >= 0:  # gallop up from lo
         while hi is None or lo + step < hi:
@@ -234,21 +247,26 @@ def _decompose(n: int, d: int, qparam, top: int | None = None) -> tuple[int, ...
 
     Each coefficient is bounded by the one above it, and by one less
     after a run of q - 1 equal coefficients other than -1 (the spacing
-    condition).  Since every degree-1 summand is m + 1, m_1 needs no
-    search, and once the remainder is 0 every lower coefficient is -1.
+    condition).  Whether a coefficient came out at its bound is carried
+    to the next search (`at_bound`), which then probes its own bound
+    first; the first search probes `top` first.  Since every degree-1
+    summand is m + 1, m_1 needs no search, and once the remainder is 0
+    every lower coefficient is -1.
     The terms must add up to n, which fails only if `top` is too low;
     by uniqueness the result, a bare tuple (m_d, ..., m_1), is then
     the representation of n, which `decompose` wraps and checks.
     """
     fit, coeffs, remainder, hi = _probe(qparam), [], n, top
     run, spacing = 0, qparam - 1  # run: how many coefficients in a row equal hi
+    at_bound = True  # the first search probes its bound (`top`) first
     for i in range(d, 1, -1):
         if not remainder:
             break  # every summand is 0 at m = -1 and at least 1 above it
-        c, value = _greedy_coefficient(fit, i, remainder, hi, qparam)
+        c, value = _greedy_coefficient(fit, i, remainder, hi, qparam, at_bound)
         remainder -= value
         coeffs.append(c)
-        run = run + 1 if c == hi else 1
+        at_bound = c == hi
+        run = run + 1 if at_bound else 1
         hi = c
         if run == spacing and c >= 0:  # never at q = INFINITY
             hi, run = c - 1, 0
@@ -284,8 +302,9 @@ def decompose(n: int, d: int, qparam, top: int | None = None) -> MacaulayRep:
     m_d raises AssertionError, as the terms then fall short of n.
     Every lower coefficient lies in [-1, m_{i+1}], or [-1, m_{i+1} - 1]
     when it would end a run of q equal coefficients; the search probes
-    that bound, then just above a guess from the remainder, and gallops
-    from there (`_greedy_coefficient`).  At most MAX_DEGREE degrees are
+    that bound and just above a guess from the remainder, the bound first
+    only where the coefficient above sat at its own, and gallops from
+    there (`_greedy_coefficient`).  At most MAX_DEGREE degrees are
     taken, since all d coefficients are stored; a larger d raises
     ValueError before the greedy runs.
     m_1 is the remainder minus one, capped by its bound, with no probe.

@@ -72,9 +72,28 @@ def _rank_rep(params: CodeParams, r: int) -> MacaulayRep:
 def e_bar(params: CodeParams, r: int) -> int:
     """Maximum number of common affine zeros of r independent reduced
     polynomials of degree <= d, via the Macaulay representation of
-    rho_q(d, m) - r."""
-    rep = _rank_rep(params, r)
-    return sum(params.q**c for c in rep.coeffs if c >= 0)
+    rho_q(d, m) - r: the sum of q^(m_i) over its coefficients m_i >= 0,
+    taken with one big power (`_power_sum`)."""
+    return _power_sum(params.q, _rank_rep(params, r).coeffs)
+
+
+def _power_sum(q: int, coeffs: tuple[int, ...]) -> int:
+    """sum(q**c for c in coeffs if c >= 0) for a nonincreasing tuple whose
+    -1s trail, 0 if every entry is -1.
+
+    By Horner's rule from the top entry down, acc <- acc * q^(prev - c) + 1,
+    then one power q^(last live entry): the steps are small powers, since
+    neighbouring coefficients are close, so the sum takes one big power in
+    place of one per entry.
+    """
+    live = coeffs[:len(coeffs) - coeffs.count(-1)]
+    if not live:
+        return 0
+    acc, last = 0, live[0]
+    for c in live:
+        acc = acc * q ** (last - c) + 1
+        last = c
+    return acc * q**last
 
 
 def e_bars(params: CodeParams):
@@ -84,7 +103,8 @@ def e_bars(params: CodeParams):
     each rank to the next (`_rank_tuples`).  Each distinct tail is run once
     per call and kept in a dict of at most d(m + 1) entries, dropped when
     the iterator ends: 155 entries on (2, 10, 20), where a repeated
-    iteration peaks at 9 KB under tracemalloc.  No table of powers is built.
+    iteration peaks at 9 KB under tracemalloc.  No table of powers is built:
+    each tail's change to e_bar is its `_power_sum` less q^c.
     """
     return map(operator.itemgetter(1), _rank_tuples(params))
 
@@ -102,8 +122,8 @@ def _rank_tuples(params: CodeParams):
     below the summand of c: the greedy runs on it alone, with top c - 1,
     and no spacing run carries over from the coefficients above
     (`macaulay._decompose`, which keeps its sum check on every tail).
-    e_bar changes by the powers q^m_i of the tail less q^c.  From k the
-    tail is the full greedy for k - 1, with top m - 1.
+    e_bar changes by the powers q^m_i of the tail (`_power_sum`) less q^c.
+    From k the tail is the full greedy for k - 1, with top m - 1.
 
     So a tail depends on (i, c) alone, and each is run once per call:
     `tails` keeps, per (i, c), the tail, its count of live entries and
@@ -122,7 +142,7 @@ def _rank_tuples(params: CodeParams):
         if (entry := tails.get((i, c))) is None:
             tail = _decompose(rho(q, i, c) - 1, i, q, c - 1)
             tail_live = i - tail.count(-1)
-            change = sum(q**t for t in tail[:tail_live]) - q**c
+            change = _power_sum(q, tail) - q**c
             entry = tails[i, c] = tail, tail_live, change
         tail, tail_live, change = entry
         coeffs, live = coeffs[:j] + tail, j + tail_live

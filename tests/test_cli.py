@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -182,15 +183,15 @@ def test_ghw_answers_a_big_binary_query_in_seconds():
     proc = _run_python("-m", "rmweights.cli", *argv, timeout=10)
     expected = f"d_r = {2**2000 - e_bar} (e_bar = {e_bar})\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+    assert hashlib.sha256(expected.encode()).hexdigest() == _console_digest("GHW")
 
 
 def test_hierarchy_prints_a_full_length_scan_byte_for_byte(capsys):
     # q^m = 4^8 = 2^16, the longest code the scan takes (k = 36,814); its
     # bytes are read off the walk, a route that shares no code with the
-    # scan, and their sha256 is the one the CI console-script step checks
+    # scan, and their sha256 is the one that ci/console.sh checks
     expected = " ".join(map(str, weights._walk(4, 12, 8))) + "\n"
-    digest = "1f61779bebf0df6b7607829a1f275e892767f41026736b1f6e677ddc67d0ddbf"
-    assert hashlib.sha256(expected.encode()).hexdigest() == digest
+    assert hashlib.sha256(expected.encode()).hexdigest() == _console_digest("HIERARCHY")
     assert run(capsys, "hierarchy", "--q", "4", "--d", "12", "--m", "8") == (0, expected, "")
 
 
@@ -540,11 +541,19 @@ SRC = Path(rmweights.__file__).parent.parent
 DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
 
 
+CONSOLE_SCRIPT = Path(__file__).parent.parent / "ci" / "console.sh"
+
+
 def _run_python(*args, timeout=60, **env):
     """Run a fresh interpreter on `args` that imports this checkout's
     rmweights, with the environment variables `env` set on top.  Its
     int -> str digit limit is Python's default, whatever the caller's
     environment, unless `env` sets PYTHONINTMAXSTRDIGITS."""
+    return _run_checkout([sys.executable, *args], timeout, env)
+
+
+def _run_checkout(argv, timeout, env):
+    """`_run_python` for any command line `argv`."""
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = {
         **os.environ,
@@ -552,9 +561,23 @@ def _run_python(*args, timeout=60, **env):
         "PYTHONINTMAXSTRDIGITS": str(oracle._DEFAULT_DIGIT_LIMIT),
         **env,
     }
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
-    )
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def _console_digest(name):
+    """The sha256 that ci/console.sh checks an output against, as its
+    NAME_SHA256 line sets it: each digest is pinned there alone."""
+    found = re.findall(rf"^{name}_SHA256=([0-9a-f]{{64}})$", CONSOLE_SCRIPT.read_text(), re.M)
+    assert len(found) == 1, (name, found)
+    return found[0]
+
+
+def test_the_ci_console_script_passes():
+    # every check of CI's console-script step, run through this checkout's
+    # `python -m rmweights.cli` in place of an installed `rmweights`
+    rmweights_cmd = f"{sys.executable} -m rmweights.cli"
+    proc = _run_checkout(["bash", str(CONSOLE_SCRIPT)], 120, {"RMWEIGHTS": rmweights_cmd})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hierarchy_and_table_refuse_weights_past_the_cap_in_bits(capsys):

@@ -56,6 +56,25 @@ def test_e_bar_examples():
     assert ghw(p, 26) == 32  # top weight is the block length
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_the_power_sum_matches_the_plain_sum(q):
+    # nonincreasing tuples as the greedy returns them: runs of up to q - 1
+    # equal values, steps down of 1, 2 or up to 500, then trailing -1s
+    rng = random.Random(q)
+    for _ in range(300):
+        t, c = [], rng.randint(0, 3000)
+        while c >= 0 and len(t) < 60:
+            t += [c] * rng.randint(1, q - 1)
+            c -= rng.choice((1, 1, 2, rng.randint(1, 500)))
+        t = tuple(t) + (-1,) * rng.randint(0, 5)
+        assert weights._power_sum(q, t) == sum(q**c for c in t if c >= 0), (q, t)
+    assert weights._power_sum(q, (-1,) * 7) == weights._power_sum(q, ()) == 0
+    # r = k leaves n = 0, whose tuple is all -1: e_bar = 0 and d_k = q^m
+    p = CodeParams(q, 1, 3)
+    assert weights._rank_rep(p, p.dimension).coeffs == (-1,)
+    assert (e_bar(p, p.dimension), ghw(p, p.dimension)) == (0, q**3)
+
+
 def test_r_out_of_range():
     p = CodeParams(2, 3, 5)
     for r in (0, 27, -3):
