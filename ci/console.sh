@@ -5,7 +5,9 @@
 #   RMWEIGHTS="python3 -m rmweights.cli" bash ci/console.sh
 #
 # The tests call cli.main in-process; this runs the command as a user
-# does: a passing verify with each oracle (exit 0), the exhaustive one
+# does: a passing verify with each oracle (exit 0), the lex one also at
+# (2, 4, 26), whose 2^26 digit tuples it walks as values in under a second
+# (about 21 s when it listed and sorted the tuples), the exhaustive one
 # with and without --r and with a --cap that leaves only the top rank,
 # two usage errors (exit 2, one naming the m >= 1 that a code needs), a
 # table whose wide ranges are clipped to the codes that exist, byte for
@@ -28,6 +30,8 @@ read -r -a rmweights <<< "${RMWEIGHTS:-rmweights}"
 
 out=$("${rmweights[@]}" verify --q 4 --d 3 --m 3 --oracle lex)
 test "$out" = "PASS (20 ranks checked)"
+out=$(timeout 10 "${rmweights[@]}" verify --q 2 --d 4 --m 26 --oracle lex)
+test "$out" = "PASS (17902 ranks checked)"
 out=$("${rmweights[@]}" verify --q 2 --d 1 --m 2 --oracle exhaustive)
 test "$out" = $'PASS d_1 = 2\nPASS d_2 = 3\nPASS d_3 = 4'
 out=$("${rmweights[@]}" verify --q 2 --d 2 --m 3 --oracle exhaustive --r 2)

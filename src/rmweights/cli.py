@@ -190,16 +190,20 @@ def _verify_lex(params: CodeParams, caps: dict, r) -> tuple:
     k = params.dimension
     column = oracle.e_bar_lex_column(params, **caps)
     # the greedy at every rank, and the digit-sum pass of `hierarchy`
-    greedy = list(weights.e_bars(params))
+    greedy = tuple(weights.e_bars(params))
     n = params.length  # a property that computes q^m: read it once
-    walk = [n - w for w in weights.hierarchy(params)]
+    walk = tuple(map(n.__sub__, weights.hierarchy(params)))
     for values, what in ((column, "the lex oracle lists {} tuples"),
                          (greedy, "the greedy gives {} values"),
                          (walk, "the walk gives {} values")):
         if len(values) != k:  # zip would stop at a short column
             raise ValueError(f"{what.format(len(values))}, not rho = {k}")
-    rows = list(zip(range(1, k + 1), greedy, walk, column))
-    mismatches = [row for row in rows if not row[1] == row[2] == row[3]]
+    # whole columns compare in C; rows are made per rank only for csv or
+    # once a mismatch exists
+    rows = lambda: zip(range(1, k + 1), greedy, walk, column)
+    mismatches = []
+    if not greedy == walk == column:
+        mismatches = [row for row in rows() if not row[1] == row[2] == row[3]]
 
     def lines():
         for r, a, w, b in mismatches:
@@ -219,7 +223,7 @@ def _verify_lex(params: CodeParams, caps: dict, r) -> tuple:
             ],
         },
         "r,e_bar,oracle,match",
-        ((r, a, b, "true" if a == w == b else "false") for r, a, w, b in rows), lines,
+        ((r, a, b, "true" if a == w == b else "false") for r, a, w, b in rows()), lines,
     )
 
 
@@ -293,6 +297,8 @@ _ORACLES = {"lex": _verify_lex, "exhaustive": _verify_exhaustive, "dims": _verif
 def cmd_verify(args) -> tuple:
     if args.r is not None and args.oracle != "exhaustive":
         raise ValueError(f"--r applies only to --oracle exhaustive, not --oracle {args.oracle}")
+    if args.cap is not None and args.cap < 0:
+        raise ValueError("--cap must be >= 0")
     caps = {} if args.cap is None else {"cap": args.cap}
     passed, keys, *report = _ORACLES[args.oracle](CodeParams(args.q, args.d, args.m), caps, args.r)
     frame = {"oracle": args.oracle, "status": "pass" if passed else "fail"}

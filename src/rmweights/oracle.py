@@ -2,8 +2,10 @@
 
 Three oracles, each deliberately naive:
 
-* direct enumeration of reduced exponent tuples (counting and
-  descending-lexicographic ranking),
+* direct enumeration of reduced exponent tuples: counting them, and
+  ranking them in descending lexicographic order, which is the
+  descending order of their base-q values, so the lex oracle lists the
+  values (`e_bar_lex_column`), not the tuples,
 * evaluation of every reduced monomial at every affine point to build
   actual generator matrices over small fields,
 * exhaustive minimum-support search over all r-dimensional subspaces of
@@ -15,7 +17,10 @@ Three oracles, each deliberately naive:
 Naive means every tuple and every subspace is visited, and none of the closed
 forms is called; the per-element work runs in C where it can (`bytes.translate`
 over digit sums, codewords and supports as integers).  Each oracle lists its own
-tuples on purpose, so that a fault in one listing fails one oracle, not two.
+tuples on purpose, so that a fault in one listing fails one oracle, not two: the
+count and the lex oracle each build their own table of digit sums, shared with
+no other code.  `enumerate_tuples` lists the tuples themselves, sorted, and is
+the tests' naive reference for the lex oracle; no oracle calls it.
 
 Field arithmetic uses full lookup tables, built modulo pinned
 irreducible polynomials: x^2+x+1 for GF(4), x^3+x+1 for GF(8), x^2+1
@@ -263,7 +268,8 @@ def count_reduced_monomials(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP
 
 
 def enumerate_tuples(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> tuple:
-    """All tuples in {0..q-1}^m with sum <= d, descending lexicographic."""
+    """All tuples in {0..q-1}^m with sum <= d, descending lexicographic:
+    the tests' naive reference for `e_bar_lex_column`."""
     _check_enumeration_args(q, m, cap)
     # filter, then sort: slower than generating in order, but the
     # result is obviously the descending lexicographic listing
@@ -272,12 +278,42 @@ def enumerate_tuples(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> tu
 
 
 def e_bar_lex_column(params: CodeParams, cap: int = DEFAULT_TUPLE_CAP) -> tuple:
-    """Reference e_bar for every rank at once, straight from one
-    descending-lexicographic tuple listing: entry r-1 is
-    sum_i mu_i q^(m-i) for the r-th tuple mu."""
-    tuples = enumerate_tuples(params.q, params.d, params.m, cap)
-    places = [params.q ** (params.m - 1 - j) for j in range(params.m)]
-    return tuple(sum(map(operator.mul, mu, places)) for mu in tuples)
+    """Reference e_bar for every rank at once, straight from the
+    descending-lexicographic listing of the tuples mu in {0..q-1}^m with
+    sum <= d: entry r-1 is sum_i mu_i q^(m-i) for the r-th tuple mu,
+    its base-q value.
+
+    Descending lex order of digit tuples is descending order of their
+    base-q values, so the column is every value below q^m with digit
+    sum <= d, descending, and the listing holds values, not tuples:
+    nothing is sorted, and a rank costs one int.  The digit sums of the
+    last j digits (the tail, j as in `count_reduced_monomials`) are one
+    `bytes` table of this function's own, a byte per tail value.  The
+    other m - j digits (the head) run through `itertools.product` in
+    descending order beside their values, and per head one translate
+    marks the tails of sum <= d - sum(head) and one `itertools.compress`
+    keeps their values head * q^j + tail, descending."""
+    q, d, m = params.q, params.d, params.m
+    _check_enumeration_args(q, m, cap)
+    j = max(i for i in range(m + 1) if q**i <= 1 << 16 and i * (q - 1) <= 255)
+    ramp = bytes(range(256)) * 2  # ramp[a:a + 256] maps byte x to x + a (mod 256)
+    sums = b"\0"  # the one empty tail, of sum 0
+    for _ in range(j):
+        # a new top digit a, from q - 1 down, adds a to every sum so far (at
+        # most j(q-1) <= 255): sums[i] is the digit sum of tail q^j - 1 - i
+        sums = b"".join(sums.translate(ramp[a:a + 256]) for a in range(q - 1, -1, -1))
+    size, full = q**j, j * (q - 1)
+    step = b"\1" * 256 + b"\0" * 256  # step[255 - t:511 - t] maps byte s to s <= t
+
+    def runs():
+        heads = itertools.product(range(q - 1, -1, -1), repeat=m - j)
+        for top, head in zip(range(q**m - 1, -1, -size), heads):
+            if (t := d - sum(head)) >= 0:
+                values = range(top, top - size, -1)
+                yield values if t >= full else itertools.compress(
+                    values, sums.translate(step[255 - t:511 - t]))
+
+    return tuple(itertools.chain.from_iterable(runs()))
 
 
 @dataclass(frozen=True, eq=False)

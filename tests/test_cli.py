@@ -360,6 +360,17 @@ def test_verify_exhaustive_cap_too_small(capsys):
     assert (code, out) == (0, "PASS d_26 = 32\n")
 
 
+@pytest.mark.parametrize("oracle_name", ["lex", "exhaustive", "dims"])
+def test_verify_rejects_a_negative_cap_before_any_oracle_runs(capsys, monkeypatch, oracle_name):
+    for name in ("e_bar_lex_column", "check_matrix_caps", "ranks_under_cap",
+                 "min_subspace_support", "count_reduced_monomials"):
+        monkeypatch.setattr(oracle, name, lambda *args, **kwargs: pytest.fail("an oracle ran"))
+    code, out, err = run(
+        capsys, "verify", "--q", "2", "--d", "1", "--m", "3", "--oracle", oracle_name, "--cap", "-5"
+    )
+    assert (code, out, err) == (2, "", "error: --cap must be >= 0\n")
+
+
 @pytest.mark.parametrize("oracle_name", ["lex", "dims"])
 def test_verify_rejects_a_rank_outside_the_exhaustive_oracle(capsys, oracle_name):
     code, out, err = run(
@@ -498,8 +509,8 @@ def test_macaulay_caps_d_before_the_greedy(capsys, monkeypatch):
 
 def test_verify_lex_lists_the_tuples_once(capsys, monkeypatch):
     calls = []
-    listing = oracle.enumerate_tuples
-    monkeypatch.setattr(oracle, "enumerate_tuples", lambda *args: calls.append(args) or listing(*args))
+    listing = oracle.e_bar_lex_column
+    monkeypatch.setattr(oracle, "e_bar_lex_column", lambda *args: calls.append(args) or listing(*args))
     code, out, _ = run(
         capsys, "verify", "--q", "3", "--d", "2", "--m", "3", "--oracle", "lex"
     )
@@ -508,8 +519,8 @@ def test_verify_lex_lists_the_tuples_once(capsys, monkeypatch):
 
 
 def test_verify_lex_rejects_a_short_listing(capsys, monkeypatch):
-    listing = oracle.enumerate_tuples
-    monkeypatch.setattr(oracle, "enumerate_tuples", lambda *args: listing(*args)[:-1])
+    listing = oracle.e_bar_lex_column
+    monkeypatch.setattr(oracle, "e_bar_lex_column", lambda *args: listing(*args)[:-1])
     code, out, err = run(
         capsys, "verify", "--q", "2", "--d", "1", "--m", "2", "--oracle", "lex"
     )
@@ -673,7 +684,7 @@ def test_macaulay_evaluates_the_summands_only_for_the_formats_that_print_them(ca
 def test_verify_lex_refuses_a_code_past_the_hierarchy_cap_before_listing(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(weights, "MAX_WEIGHTS", 10)
-    monkeypatch.setattr(oracle, "enumerate_tuples", lambda *args: calls.append(args))
+    monkeypatch.setattr(oracle, "e_bar_lex_column", lambda *args: calls.append(args))
     code, out, err = run(capsys, "verify", "--q", "2", "--d", "2", "--m", "4", "--oracle", "lex")
     assert (code, out, calls) == (2, "", [])
     assert err == "error: 11 weights exceed the hierarchy cap 10; use ghw for single ranks\n"

@@ -488,15 +488,15 @@ r,e_bar,oracle,match
 def oracle_off_by_one(monkeypatch):
     """Make each oracle overshoot by one: at rank 1 only for lex and
     exhaustive, so passing and failing ranks mix, and on the count for dims."""
-    listing = oracle.enumerate_tuples
+    column = oracle.e_bar_lex_column
     support = oracle.min_subspace_support
     count = oracle.count_reduced_monomials
 
-    def bumped_listing(*args):
-        first, *rest = listing(*args)
-        return (first[:-1] + (first[-1] + 1,), *rest)
+    def bumped_column(*args):
+        first, *rest = column(*args)
+        return (first + 1, *rest)
 
-    monkeypatch.setattr(oracle, "enumerate_tuples", bumped_listing)
+    monkeypatch.setattr(oracle, "e_bar_lex_column", bumped_column)
     monkeypatch.setattr(
         oracle, "min_subspace_support", lambda params, r, *args: support(params, r, *args) + (r == 1)
     )

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import operator
 import sys
 import tracemalloc
 
@@ -219,6 +220,34 @@ def test_e_bar_lex_column_examples():
     assert (len(column), column[0], column[9], column[25]) == (26, 28, 17, 0)
     with pytest.raises(ValueError, match="exceeds the enumeration cap"):
         e_bar_lex_column(CodeParams(2, 3, 5), cap=31)
+
+
+@pytest.mark.parametrize("q, d, m", [
+    *((q, d, m) for q in SUPPORTED_Q for m in (1, 2)
+      for d in sorted({1, m * (q - 1) // 2, m * (q - 1) - 1, m * (q - 1)} - {0})),
+    (2, 1, 3), (4, 5, 3),
+    # q = 256 keeps a 1-digit tail under a 1-digit head; q = 257 has no tail
+    (256, 1, 2), (256, 254, 2), (256, 255, 2), (256, 300, 2),
+    (257, 1, 2), (257, 256, 2), (257, 400, 2),
+    # heads of 2, 1 and 1 digits over tails of 16, 10 and 4
+    (2, 5, 18), (3, 4, 11), (16, 3, 5),
+])
+def test_e_bar_lex_column_is_the_values_of_the_naive_listing(q, d, m):
+    places = [q ** (m - 1 - i) for i in range(m)]
+    values = tuple(sum(map(operator.mul, mu, places)) for mu in enumerate_tuples(q, d, m))
+    assert e_bar_lex_column(CodeParams(q, d, m)) == values
+
+
+def test_e_bar_lex_column_peaks_under_64_bytes_a_rank():
+    p = CodeParams(2, 8, 18)  # k = 106,762
+    tracemalloc.start()
+    try:
+        column = e_bar_lex_column(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(column) == p.dimension == 106_762
+    assert peak < 64 * p.dimension
 
 
 def test_generator_matrix_example():
