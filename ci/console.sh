@@ -9,7 +9,11 @@
 # (2, 4, 26), whose 2^26 digit tuples it walks as values in under a second
 # (about 21 s when it listed and sorted the tuples), the exhaustive one
 # with and without --r and with a --cap that leaves only the top rank,
-# two usage errors (exit 2, one naming the m >= 1 that a code needs), a
+# and at (2, 2, 4), r = 1, whose walks of up to 10 free entries replay
+# cached Gray blocks of 6, four usage errors (exit 2: one naming the
+# m >= 1 that a code needs, no command, which the top parser reads, and an
+# unknown option after a command, which that command's parser leaves to
+# the top parser's `unrecognized arguments` error), a
 # table whose wide ranges are clipped to the codes that exist, byte for
 # byte the table of m = 1..3, and a 12,042-digit n whose coefficients
 # pass a float's 53 bits, which the integer guess decomposes in well
@@ -38,6 +42,8 @@ out=$("${rmweights[@]}" verify --q 2 --d 2 --m 3 --oracle exhaustive --r 2)
 test "$out" = "PASS d_2 = 3"
 out=$("${rmweights[@]}" verify --q 2 --d 3 --m 5 --oracle exhaustive --cap 10)
 test "$out" = "PASS d_26 = 32"
+out=$("${rmweights[@]}" verify --q 2 --d 2 --m 4 --oracle exhaustive --r 1)
+test "$out" = "PASS d_1 = 4"
 out=$("${rmweights[@]}" verify --q 5 --d 2 --m 2 --oracle dims)
 test "$out" = "PASS rho = 6 by 4 methods"
 code=0
@@ -47,6 +53,13 @@ code=0
 err=$("${rmweights[@]}" dim --q 2 --d 1 --m -2 2>&1) || code=$?
 test "$code" -eq 2
 test "$err" = "error: m must be >= 1"
+code=0
+"${rmweights[@]}" 2>/dev/null || code=$?
+test "$code" -eq 2
+code=0
+err=$("${rmweights[@]}" verify --q 2 --d 1 --m 2 --oracle lex --bogus 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+test "${err##*$'\n'}" = "rmweights: error: unrecognized arguments: --bogus"
 cmp <(timeout 10 "${rmweights[@]}" table --q 2..3 --m=-5..3 --d=-1000000000000..1000000000000) \
   <("${rmweights[@]}" table --q 2..3 --m 1..3)
 n=$(python3 -c 'import sys; getattr(sys, "set_int_max_str_digits", int)(0); print(2**40000)')

@@ -6,6 +6,11 @@ or validation error or a result too big for memory.  Big numbers are
 serialized as decimal strings in JSON output so nothing is ever
 squeezed through a double, and integers are read and printed in full
 whatever Python's int <-> str digit limit (`_all_digits`).
+
+`main` parses an argv whose first string names a command with that
+command's own parser alone (`_parse`), and gives the Namespace, exit
+code and messages that `build_parser().parse_args` gives; no arguments,
+-h/--help and an unknown command take the top parser.
 """
 
 from __future__ import annotations
@@ -305,16 +310,27 @@ def cmd_verify(args) -> tuple:
     return (passed, lambda: {**frame, **keys()}, *report)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later
     one, so repeated in-process calls of `main` build it once.  Callers
     must not mutate it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple:
+    """The top parser and a dict of its command parsers by name, built
+    once per process."""
     parser = argparse.ArgumentParser(
         prog="rmweights",
         description="Dimensions and generalized Hamming weights of q-ary Reed-Muller codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def command(name, summary):
+        p = commands[name] = sub.add_parser(name, help=summary)
+        return p
 
     def code(p):
         for flag in ("--q", "--d", "--m"):
@@ -324,37 +340,37 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
-    p = sub.add_parser("dim", help="dimension rho_q(d, m) of RM(d, m)")
+    p = command("dim", "dimension rho_q(d, m) of RM(d, m)")
     code(p)
     common(p)
     p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("macaulay", help="Macaulay representation of n with respect to q")
+    p = command("macaulay", "Macaulay representation of n with respect to q")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--q", required=True, help="prime power, or 'inf' for the classical mode")
     common(p)
     p.set_defaults(func=cmd_macaulay)
 
-    p = sub.add_parser("ghw", help="r-th generalized Hamming weight of RM(d, m)")
+    p = command("ghw", "r-th generalized Hamming weight of RM(d, m)")
     code(p)
     p.add_argument("--r", type=int, required=True)
     common(p)
     p.set_defaults(func=cmd_ghw)
 
-    p = sub.add_parser("hierarchy", help="full weight hierarchy of RM(d, m)")
+    p = command("hierarchy", "full weight hierarchy of RM(d, m)")
     code(p)
     common(p)
     p.set_defaults(func=cmd_hierarchy)
 
-    p = sub.add_parser("table", help="stream hierarchies for parameter ranges as CSV")
+    p = command("table", "stream hierarchies for parameter ranges as CSV")
     p.add_argument("--q", required=True, help="value or inclusive range like 2..4")
     p.add_argument("--m", required=True, help="value or inclusive range like 1..4")
     p.add_argument("--d", help="value or range; defaults to 1..m(q-1)")
     p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     p.set_defaults(func=cmd_table, format="csv")
 
-    p = sub.add_parser("verify", help="compare closed forms against a brute-force oracle")
+    p = command("verify", "compare closed forms against a brute-force oracle")
     code(p)
     p.add_argument("--oracle", choices=_ORACLES, required=True)
     p.add_argument("--r", type=int, help="single rank to check (exhaustive oracle)")
@@ -362,13 +378,33 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, commands
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """What `build_parser().parse_args(argv)` gives, by one parser's pass.
+
+    When argv[0] names a command, its own parser reads argv[1:] alone:
+    the top parser's pass over every string, which the command parser
+    then reads again, is skipped.  Leftover strings end at the top
+    parser's `unrecognized arguments` error, as `parse_args` ends them.
+    No arguments, -h/--help and an unknown command take the top parser."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command on `argv` (default: sys.argv[1:]) and return its
+    exit code; a usage error exits 2 through argparse, as `parse_args`
+    does (`_parse`)."""
     with _all_digits():  # so --n and --r take integers of any size
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         passed, *report = args.func(args)
         _emit(args.out, args.format, *report)

@@ -12,7 +12,9 @@ Three oracles, each deliberately naive:
   the message space, enumerated once each via reduced-row-echelon
   canonical bases whose free entries are walked in Gray order, so each
   subspace after the first of its pivot columns re-encodes one row by
-  one scaled generator row.
+  one scaled generator row.  The fastest entries of a walk replay a
+  cached block of at most 63 steps (`_gray_walk`): 32 blocks over
+  `SUPPORTED_Q`, whatever the walk's length.
 
 Naive means every tuple and every subspace is visited, and none of the closed
 forms is called; the per-element work runs in C where it can (`bytes.translate`
@@ -433,7 +435,12 @@ def _gray_steps(q: int, n: int):
     q^n - 1 steps: each step moves one digit by +-1, and every tuple is
     reached exactly once.  At step t the digit that moves sits as many
     places from the end as t has trailing zeros in base q; a digit
-    reverses its direction at 0 and q - 1."""
+    reverses its direction at 0 and q - 1.
+
+    So between two steps of the first n - b digits the last b run the
+    walk on {0..q-1}^b, forward and reversed in turn: `_gray_walk`
+    replays that walk as a cached block (`_gray_block`) and steps only
+    the first n - b digits here."""
     digits, step = [0] * n, [1] * n
     for t in range(1, q**n):
         pos = n - 1
@@ -447,6 +454,47 @@ def _gray_steps(q: int, n: int):
         yield pos, old, new
 
 
+# a Gray block walks the last b digits with q^b <= _GRAY_BLOCK, so it
+# has at most 63 steps per direction
+_GRAY_BLOCK = 64
+
+
+@functools.cache  # (q, b): 32 entries over SUPPORTED_Q; `build_field` raises for any other q
+def _gray_block(q: int, b: int) -> tuple:
+    """The walk `_gray_steps(q, b)` forward and reversed, each a tuple of
+    (position - b, new - old in GF(q)) steps.  Positions count from the
+    end, so a block serves the last b digits of a walk of any length."""
+    field = build_field(q)
+    sub = lambda x, y: field.add(x, field.neg(y))
+    steps = [(pos - b, old, new) for pos, old, new in _gray_steps(q, b)]
+    return (
+        tuple((pos, sub(new, old)) for pos, old, new in steps),
+        tuple((pos, sub(old, new)) for pos, old, new in reversed(steps)),
+    )
+
+
+def _gray_walk(field: FieldTable, n: int):
+    """The steps of `_gray_steps(q, n)` as (position, new - old in GF(q))
+    pairs, where a position in the last b digits is negative (counted
+    from the end).  b is the largest b <= n with q^b <= _GRAY_BLOCK; the
+    last b digits replay a cached forward or reversed `_gray_block` in
+    turn, in C, and only the other n - b digits step through
+    `_gray_steps`, each with one lookup of new - old."""
+    q, add, neg = field.q, field.add_table, field.neg_table
+    b = 0
+    while b < n and q ** (b + 1) <= _GRAY_BLOCK:
+        b += 1
+    blocks = _gray_block(q, b)
+
+    def runs():
+        yield blocks[0]
+        for t, (pos, old, new) in enumerate(_gray_steps(q, n - b), start=1):
+            yield ((pos, add[new][neg[old]]),)
+            yield blocks[t % 2]
+
+    return itertools.chain.from_iterable(runs())
+
+
 def min_subspace_support(
     params: CodeParams, r: int, cap: int = DEFAULT_SUBSPACE_CAP
 ) -> int:
@@ -457,14 +505,17 @@ def min_subspace_support(
     generator matrix, and takes the minimum number of coordinates where
     some basis codeword is nonzero.  For each choice of pivot columns
     the free entries (right of a row's pivot, outside the pivot columns)
-    run through every field value in Gray order (`_gray_steps`, the last
+    run through every field value in Gray order (`_gray_walk`, the last
     row's last free column fastest), so consecutive bases differ in one
-    entry (i, j): row i's codeword gains (new - old) * g_j, one scale of
-    g_j and one add.  A codeword is the integer of its bytes, one byte
-    per coordinate.  In characteristic 2 an element's bits are its
-    coefficients over F_2, so the add is a xor; for odd p one
-    multiply-add packs the pairs x_t*q + y_t and one translate maps
-    them.  Elements are below 16, so adding 0x7f to every byte carries
+    entry (i, j): row i's codeword gains c * g_j, c = new - old, one
+    scale of g_j and one add.  The walk gives c with each step: the
+    fastest entries replay a cached block of at most 63 steps, in C, and
+    the slower ones step through `_gray_steps`; the count of subspaces
+    scanned is still checked against [k, r]_q.  A codeword is the
+    integer of its bytes, one byte per coordinate.  In characteristic 2
+    an element's bits are its coefficients over F_2, so the add is a
+    xor; for odd p one multiply-add packs the pairs x_t*q + y_t and one
+    translate maps them.  Elements are below 16, so adding 0x7f to every byte carries
     into none and sets a byte's top bit iff it is nonzero: its support
     mask.  The union of the leading r - 1 supports is recomputed only
     when one of those rows changes.  Ground truth by definition; only
@@ -482,8 +533,6 @@ def min_subspace_support(
         pairs = field._add_pairs
         add = lambda x, y: from_bytes((x * q + y).to_bytes(n, "big").translate(pairs), "big")
     low, high = from_bytes(b"\x7f" * n, "big"), from_bytes(b"\x80" * n, "big")
-    # diff[new][old] = new - old in GF(q)
-    diff = [[field.add(b, field.neg(a)) for a in range(q)] for b in range(q)]
 
     best = params.length + 1
     seen = 0
@@ -498,9 +547,8 @@ def min_subspace_support(
         head = functools.reduce(operator.or_, supports[:last], 0)
         best = min(best, (head | supports[last]).bit_count())
         seen += 1
-        for pos, old, new in _gray_steps(q, len(free)):
+        for pos, c in _gray_walk(field, len(free)):
             i, gj = free[pos]
-            c = diff[new][old]
             rows[i] = cw = add(rows[i], from_bytes(gj if c == 1 else vscale(c, gj), "big"))
             supports[i] = (cw + low) & high
             if i != last:

@@ -30,12 +30,13 @@ pointer per weight and equal weights of any two are the same objects.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, islice
 
-from .dims import CodeParams, _check_rank, _decimal_or, rho
+from .dims import CodeParams, _check_rank, _decimal_or, _rho_upto
 from .macaulay import INFINITY, MacaulayRep, _decompose, decompose
 
 # weights that `hierarchy` lists at most, about 60 bytes each while q^m
@@ -131,7 +132,9 @@ def _rank_tuples(params: CodeParams):
     (i, c).  It holds at most d(m + 1) entries (1 <= i <= d,
     0 <= c <= m) and is dropped with the generator.  Each tail greedy makes
     the bounded probe of `decompose` (`macaulay._probe`); the summand of c
-    that starts a tail is that probe with no bound, `rho(q, i, c)`.
+    that starts a tail is that probe with no bound, `_rho_upto(q, i, c,
+    math.inf)`: `rho` without its argument checks, which the checked
+    `CodeParams` has passed.
     """
     q, d, m = params.q, params.d, params.m
     coeffs, live, value = (m,) + (-1,) * (d - 1), 1, q**m  # rank 0: n = k, e_bar = q^m
@@ -140,7 +143,7 @@ def _rank_tuples(params: CodeParams):
         j = live - 1  # c is the last entry >= 0; the -1s trail
         i, c = d - j, coeffs[j]
         if (entry := tails.get((i, c))) is None:
-            tail = _decompose(rho(q, i, c) - 1, i, q, c - 1)
+            tail = _decompose(_rho_upto(q, i, c, math.inf) - 1, i, q, c - 1)
             tail_live = i - tail.count(-1)
             change = _power_sum(q, tail) - q**c
             entry = tails[i, c] = tail, tail_live, change

@@ -714,6 +714,38 @@ def test_self_checks_survive_python_O():
     assert proc.stdout == "optimize 1\nscanned 34 subspaces, not [4, 2]_2 = 35\n"
 
 
+def test_self_checks_catch_a_faulty_cached_gray_block():
+    # drop a step inside the first Gray block built, the last 6 free
+    # entries of a 10-entry walk (GF(2): q^6 = 64): every walk of 6 to 10
+    # entries replays that block, 16 + 8 + 4 + 2 + 1 = 31 times in all,
+    # each time a subspace short, which only the count check can tell
+    # under `python -O`
+    script = textwrap.dedent("""
+        import itertools, sys
+        from rmweights import oracle
+        from rmweights.dims import CodeParams
+
+        print("optimize", sys.flags.optimize)
+        steps, walks = oracle._gray_steps, itertools.count()
+
+        def dropping(q, n):
+            listed = list(steps(q, n))
+            if next(walks) == 0:
+                assert n == 6  # the block of the first walk
+                del listed[20]
+            return iter(listed)
+
+        oracle._gray_steps = dropping
+        try:
+            print(oracle.min_subspace_support(CodeParams(2, 2, 4), 1))
+        except AssertionError as exc:
+            print(exc)
+    """)
+    proc = _run_python("-O", "-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "optimize 1\nscanned 2016 subspaces, not [11, 1]_2 = 2047\n"
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     proc = _run_python(str(demo))
@@ -867,3 +899,56 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         assert main(["dim", *CODE]) == 0
     assert capsys.readouterr().out == "3\n" * 10
     assert progs.count("rmweights") <= 1  # subparsers are named "rmweights <command>"
+
+
+COMMANDS = ("dim", "macaulay", "ghw", "hierarchy", "table", "verify")
+# each argv with what both routes give: a Namespace, or the exit code
+ROUTE_SWEEP = [
+    (("dim", *CODE, "--format", "json", "--out", "x"), argparse.Namespace),
+    (("macaulay", "--n", "12", "--d", "3", "--q", "inf"), argparse.Namespace),
+    (("ghw", *CODE, "--r", "1", "--format", "csv"), argparse.Namespace),
+    (("hierarchy", *CODE), argparse.Namespace),
+    (("table", "--q", "2..3", "--m", "1..2", "--d", "1"), argparse.Namespace),
+    *((("verify", *CODE, "--oracle", name, "--cap", "9"), argparse.Namespace)
+      for name in ("lex", "exhaustive", "dims")),
+    (("verify", *CODE, "--oracle", "exhaustive", "--r", "2"), argparse.Namespace),
+    (("-h",), 0),
+    (("--help",), 0),
+    *(((name, "-h"), 0) for name in COMMANDS),
+    ((), 2),
+    (("bogus", *CODE), 2),
+    (("verify", *CODE, "--oracle", "lex", "--bogus"), 2),
+    (("dim", "--bogus"), 2),
+    (("ghw", *CODE), 2),  # --r is required
+    (("dim", "--q", "two", "--d", "1", "--m", "2"), 2),
+    (("dim", *CODE, "extra"), 2),
+    (("verify", *CODE, "--oracle", "lex", "--", "x"), 2),
+    (("dim", "--", *CODE), 2),
+    (("--", "dim", *CODE), 2),
+    (("table", "--q", "2..3", "--m=-5..3"), argparse.Namespace),
+    (("dim", *CODE, "--form", "json"), argparse.Namespace),
+    (("ghw", *CODE, "--r", "9" * 4301), argparse.Namespace),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, want", ROUTE_SWEEP, ids=lambda x: " ".join(x)[:40] if isinstance(x, tuple) else None
+)
+def test_main_parses_each_argv_as_parse_args_does(capsys, monkeypatch, argv, want):
+    # `main` reads a command's strings with that command's parser alone;
+    # the top parser's `parse_args` is the reference
+    from rmweights import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+
+    def outcome(parse):
+        try:
+            with cli._all_digits():  # as in `main`, so a 4,301-digit --r parses
+                result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, *capsys.readouterr()
+
+    got = outcome(cli._parse)
+    assert got == outcome(cli.build_parser().parse_args)
+    assert isinstance(got[0], argparse.Namespace) if want is argparse.Namespace else got[0] == want

@@ -348,6 +348,36 @@ def test_gray_steps_visit_every_tuple_once(q, n):
         assert visited[q - 1] == (0,) * (n - 1) + (q - 1,)
 
 
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_gray_walk_is_the_gray_steps_by_position_and_difference(q):
+    # n from 0 to past two blocks, the block being the last b digits with
+    # q^b <= 64
+    from rmweights.oracle import _gray_steps, _gray_walk
+
+    field = build_field(q)
+    b = max(b for b in range(7) if q**b <= 64)
+    for n in range(2 * b + 2):
+        want = [(pos, field.add(new, field.neg(old))) for pos, old, new in _gray_steps(q, n)]
+        assert [(range(n)[pos], c) for pos, c in _gray_walk(field, n)] == want, n
+
+
+def test_gray_block_cache_stays_bounded():
+    # walks of any length over every supported field keep at most 32
+    # blocks, one per (q, b) with q^b <= 64, of at most 63 steps each way
+    from rmweights.oracle import _gray_block, _gray_walk
+
+    for q in SUPPORTED_Q:
+        for n in range(10):
+            _gray_walk(build_field(q), n)
+    assert _gray_block.cache_info().currsize == 32
+    for q in SUPPORTED_Q:
+        for b in range(7):
+            if q**b <= 64:
+                forward, backward = _gray_block(q, b)
+                assert len(forward) == len(backward) == q**b - 1 <= 63
+    assert _gray_block.cache_info().currsize == 32
+
+
 def test_gray_walk_lists_every_rref_basis():
     # replay the scan's walk on the basis entries: per pivot set, the free
     # entries in row order, each step setting one of them from old to new
@@ -407,14 +437,16 @@ def _per_basis_min_support(params, r):
 @pytest.mark.parametrize(
     "q, d, m",
     [(2, 1, 3), (2, 2, 3), (2, 1, 4), (3, 1, 2), (3, 2, 2), (4, 1, 2), (4, 2, 1),
-     (5, 2, 1), (7, 1, 1), (8, 2, 1), (9, 2, 1)],
+     (5, 2, 1), (7, 1, 1), (8, 2, 1), (9, 2, 1), (2, 2, 4), (16, 1, 2)],
 )
 def test_min_subspace_support_matches_the_per_basis_loop(q, d, m):
-    # every rank with at most 2,000 subspaces, r = 1 and r = k among them;
+    # every rank with at most 2,047 subspaces, r = 1 and r = k among them;
     # where the last pivot is column k - 1 the last row has no free
-    # position, so the leading rows change at every basis
+    # position, so the leading rows change at every basis.  (2, 2, 4) at
+    # r = 1 and 10 walks up to 10 free entries, past the 6 of a Gray
+    # block; (16, 1, 2) walks GF(16) blocks of one entry
     p = CodeParams(q, d, m)
-    for r in ranks_under_cap(p.dimension, q, 2000):
+    for r in ranks_under_cap(p.dimension, q, 2047):
         assert min_subspace_support(p, r) == _per_basis_min_support(p, r), (p, r)
 
 
