@@ -13,7 +13,10 @@
 # cached Gray blocks of 6, four usage errors (exit 2: one naming the
 # m >= 1 that a code needs, no command, which the top parser reads, and an
 # unknown option after a command, which that command's parser leaves to
-# the top parser's `unrecognized arguments` error), a
+# the top parser's `unrecognized arguments` error), command lines that
+# only argparse reads, not the pair reader in front of it (an --m=5, a
+# repeated --q whose last value wins, an abbreviated --form, and a
+# --format outside its choices, exit 2 with argparse's own message), a
 # table whose wide ranges are clipped to the codes that exist, byte for
 # byte the table of m = 1..3, and a 12,042-digit n whose coefficients
 # pass a float's 53 bits, which the integer guess decomposes in well
@@ -60,6 +63,16 @@ code=0
 err=$("${rmweights[@]}" verify --q 2 --d 1 --m 2 --oracle lex --bogus 2>&1 >/dev/null) || code=$?
 test "$code" -eq 2
 test "${err##*$'\n'}" = "rmweights: error: unrecognized arguments: --bogus"
+out=$("${rmweights[@]}" dim --q 2 --d 3 --m=5)
+test "$out" = "26"
+out=$("${rmweights[@]}" dim --q 3 --q 2 --d 3 --m 5)
+test "$out" = "26"
+out=$("${rmweights[@]}" dim --q 2 --d 3 --m 5 --form csv)
+test "$out" = $'q,d,m,rho\n2,3,5,26'
+code=0
+err=$("${rmweights[@]}" dim --q 2 --d 3 --m 5 --format xml 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+[[ "${err##*$'\n'}" == "rmweights dim: error: argument --format"* ]]
 cmp <(timeout 10 "${rmweights[@]}" table --q 2..3 --m=-5..3 --d=-1000000000000..1000000000000) \
   <("${rmweights[@]}" table --q 2..3 --m 1..3)
 n=$(python3 -c 'import sys; getattr(sys, "set_int_max_str_digits", int)(0); print(2**40000)')

@@ -2,13 +2,17 @@
 
 Subcommands: dim, macaulay, ghw, hierarchy, table, verify.  Exit codes:
 0 success, 1 verification mismatch or a failed internal check, 2 usage
-or validation error or a result too big for memory.  Big numbers are
-serialized as decimal strings in JSON output so nothing is ever
-squeezed through a double, and integers are read and printed in full
+or validation error or a result too big for memory.  In JSON output the
+computed dimensions, weights, summands and sums are decimal strings;
+the code parameters, ranks, counts and Macaulay coefficients are JSON
+numbers, written in full at any size, so a reader that takes numbers as
+doubles rounds those past 2^53.  Integers are read and printed in full
 whatever Python's int <-> str digit limit (`_all_digits`).
 
-`main` parses an argv whose first string names a command with that
-command's own parser alone (`_parse`), and gives the Namespace, exit
+`main` reads an argv whose first string names a command and whose rest
+are plain `--flag value` pairs by one table lookup per flag
+(`_read_pairs`), and any other argv after a command by that command's
+own parser alone (`_parse`).  Either way it gives the Namespace, exit
 code and messages that `build_parser().parse_args` gives; no arguments,
 -h/--help and an unknown command take the top parser.
 """
@@ -319,80 +323,120 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parsers() -> tuple:
-    """The top parser and a dict of its command parsers by name, built
-    once per process."""
+    """The top parser, a dict of its command parsers by name, and a dict
+    of the pair reader's tables by command name, built once per process.
+
+    Each option is declared once, here.  A command's table is made from
+    the `Action`s that its `add_argument` calls return and from its
+    parser's `get_default`: its flags, each mapped to its action; the
+    Namespace of the command before any option is read (`command`, then
+    the default of every dest, `func` and table's `format` among them);
+    and the dests of its required options."""
     parser = argparse.ArgumentParser(
         prog="rmweights",
         description="Dimensions and generalized Hamming weights of q-ary Reed-Muller codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
+    commands, tables = {}, {}
 
-    def command(name, summary):
+    def command(name, summary, *options, **defaults):
         p = commands[name] = sub.add_parser(name, help=summary)
-        return p
+        actions = [p.add_argument(flag, **kw) for flag, kw in options]
+        p.set_defaults(**defaults)
+        dests = [a.dest for a in actions] + list(defaults)
+        tables[name] = (
+            {a.option_strings[0]: a for a in actions},
+            {"command": name, **{dest: p.get_default(dest) for dest in dests}},
+            frozenset(a.dest for a in actions if a.required),
+        )
 
-    def code(p):
-        for flag in ("--q", "--d", "--m"):
-            p.add_argument(flag, type=int, required=True)
+    def opt(flag, **kw):
+        return flag, kw
 
-    def common(p):
-        p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-        p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    code = [opt(flag, type=int, required=True) for flag in ("--q", "--d", "--m")]
+    out = opt("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    common = [opt("--format", choices=("plain", "json", "csv"), default="plain"), out]
 
-    p = command("dim", "dimension rho_q(d, m) of RM(d, m)")
-    code(p)
-    common(p)
-    p.set_defaults(func=cmd_dim)
+    command("dim", "dimension rho_q(d, m) of RM(d, m)", *code, *common, func=cmd_dim)
+    command(
+        "macaulay", "Macaulay representation of n with respect to q",
+        opt("--n", type=int, required=True),
+        opt("--d", type=int, required=True),
+        opt("--q", required=True, help="prime power, or 'inf' for the classical mode"),
+        *common, func=cmd_macaulay,
+    )
+    command(
+        "ghw", "r-th generalized Hamming weight of RM(d, m)",
+        *code, opt("--r", type=int, required=True), *common, func=cmd_ghw,
+    )
+    command("hierarchy", "full weight hierarchy of RM(d, m)", *code, *common, func=cmd_hierarchy)
+    command(
+        "table", "stream hierarchies for parameter ranges as CSV",
+        opt("--q", required=True, help="value or inclusive range like 2..4"),
+        opt("--m", required=True, help="value or inclusive range like 1..4"),
+        opt("--d", help="value or range; defaults to 1..m(q-1)"),
+        out, func=cmd_table, format="csv",
+    )
+    command(
+        "verify", "compare closed forms against a brute-force oracle",
+        *code,
+        opt("--oracle", choices=_ORACLES, required=True),
+        opt("--r", type=int, help="single rank to check (exhaustive oracle)"),
+        opt("--cap", type=int, help="enumeration cap override"),
+        *common, func=cmd_verify,
+    )
+    return parser, commands, tables
 
-    p = command("macaulay", "Macaulay representation of n with respect to q")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--q", required=True, help="prime power, or 'inf' for the classical mode")
-    common(p)
-    p.set_defaults(func=cmd_macaulay)
 
-    p = command("ghw", "r-th generalized Hamming weight of RM(d, m)")
-    code(p)
-    p.add_argument("--r", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_ghw)
+def _read_pairs(table, strings) -> argparse.Namespace | None:
+    """The Namespace of a command's `strings` when they are plain pairs,
+    or None for argparse to read them.
 
-    p = command("hierarchy", "full weight hierarchy of RM(d, m)")
-    code(p)
-    common(p)
-    p.set_defaults(func=cmd_hierarchy)
-
-    p = command("table", "stream hierarchies for parameter ranges as CSV")
-    p.add_argument("--q", required=True, help="value or inclusive range like 2..4")
-    p.add_argument("--m", required=True, help="value or inclusive range like 1..4")
-    p.add_argument("--d", help="value or range; defaults to 1..m(q-1)")
-    p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    p.set_defaults(func=cmd_table, format="csv")
-
-    p = command("verify", "compare closed forms against a brute-force oracle")
-    code(p)
-    p.add_argument("--oracle", choices=_ORACLES, required=True)
-    p.add_argument("--r", type=int, help="single rank to check (exhaustive oracle)")
-    p.add_argument("--cap", type=int, help="enumeration cap override")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    return parser, commands
+    Plain pairs are `--flag value` pairs in which every flag is one of the
+    command's options spelled in full and given once, no value starts
+    with '-', each value passes its option's `type` and `choices`, and
+    every required option is given.  argparse reads such strings without
+    an error, to the Namespace built here; so every other shape, help,
+    usage error and message is left to argparse alone."""
+    flags, namespace, required = table
+    if len(strings) % 2:
+        return None
+    values = {}
+    pairs = iter(strings)
+    for flag, text in zip(pairs, pairs):
+        action = flags.get(flag)
+        if action is None or action.dest in values or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # as argparse catches
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(**(namespace | values))
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """What `build_parser().parse_args(argv)` gives, by one parser's pass.
+    """What `build_parser().parse_args(argv)` gives, by a table lookup per
+    flag where it can, else by one parser's pass.
 
-    When argv[0] names a command, its own parser reads argv[1:] alone:
-    the top parser's pass over every string, which the command parser
-    then reads again, is skipped.  Leftover strings end at the top
-    parser's `unrecognized arguments` error, as `parse_args` ends them.
-    No arguments, -h/--help and an unknown command take the top parser."""
-    parser, commands = _parsers()
+    When argv[0] names a command and the rest are plain `--flag value`
+    pairs (`_read_pairs`), the Namespace is built from that command's
+    table.  Else its own parser reads argv[1:] alone: the top parser's
+    pass over every string, which the command parser then reads again,
+    is skipped.  Leftover strings end at the top parser's `unrecognized
+    arguments` error, as `parse_args` ends them.  No arguments, -h/--help
+    and an unknown command take the top parser."""
+    parser, commands, tables = _parsers()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _read_pairs(tables[argv[0]], argv[1:])
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error("unrecognized arguments: " + " ".join(extras))

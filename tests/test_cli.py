@@ -1,14 +1,20 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import textwrap
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmweights
 from rmweights import macaulay, oracle, weights
@@ -928,6 +934,13 @@ ROUTE_SWEEP = [
     (("table", "--q", "2..3", "--m=-5..3"), argparse.Namespace),
     (("dim", *CODE, "--form", "json"), argparse.Namespace),
     (("ghw", *CODE, "--r", "9" * 4301), argparse.Namespace),
+    # shapes that the pair reader leaves to argparse
+    (("dim", "--q", "3", "--q", "2", "--d", "3", "--m", "5"), argparse.Namespace),  # last wins
+    (("dim", "--q", "2", "--d", "1", "--m", "-2"), argparse.Namespace),
+    (("dim", "--q", "", "--d", "1", "--m", "2"), 2),
+    (("dim", *CODE, "--format", "xml"), 2),
+    (("dim", *CODE, "--out", "-h"), 2),
+    (("verify", *CODE), 2),  # --oracle is required
 ]
 
 
@@ -952,3 +965,97 @@ def test_main_parses_each_argv_as_parse_args_does(capsys, monkeypatch, argv, wan
     got = outcome(cli._parse)
     assert got == outcome(cli.build_parser().parse_args)
     assert isinstance(got[0], argparse.Namespace) if want is argparse.Namespace else got[0] == want
+
+
+def _outcome(parse, argv):
+    """What `parse` gives on `argv`, as `main` calls it: a Namespace, or
+    the exit code, with the stdout and stderr it wrote."""
+    from rmweights import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err), cli._all_digits():
+            result = parse(list(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# every command, every flag of each, flags that only argparse reads, and
+# values that pass some option's type or choices and fail others
+_TOKENS = (
+    *COMMANDS, "--q", "--d", "--m", "--n", "--r", "--oracle", "--cap", "--format", "--out",
+    "--form", "--orac", "--m=2", "-h", "--",
+)
+_VALUES = ("2", "-1", "", " 3", "x", "2..3", "inf", "json", "lex", "xml", "9" * 4301)
+
+
+@st.composite
+def _argvs(draw):
+    """A command with each of its flags once, in any order, and values
+    that fit; then up to three changes: a pair dropped, a flag repeated,
+    a value swapped or a stray token put in."""
+    from rmweights import cli
+
+    name = draw(st.sampled_from(COMMANDS))
+    fits = {"--oracle": "lex", "--format": "json"}
+    flags = sorted(cli._parsers()[2][name][0])
+    parts = [[flag, fits.get(flag, "2")] for flag in draw(st.permutations(flags))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(parts)))
+        change = draw(st.sampled_from(("drop", "repeat", "swap", "stray")))
+        if change == "stray":
+            parts.insert(i, [draw(st.sampled_from(_TOKENS + _VALUES))])
+        elif i < len(parts):
+            value = draw(st.sampled_from(_VALUES))
+            if change == "drop":
+                del parts[i]
+            elif change == "repeat":
+                parts.insert(i, [parts[i][0], value])
+            else:
+                parts[i] = [parts[i][0], value]
+    return [name, *chain.from_iterable(parts)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_argvs())
+def test_the_pair_reader_and_argparse_give_the_same_outcome(argv):
+    from rmweights import cli
+
+    with patch.dict(os.environ, {"COLUMNS": "80"}):  # --help wraps to the terminal width
+        assert _outcome(cli._parse, argv) == _outcome(cli.build_parser().parse_args, argv)
+
+
+PLAN_SHAPED = [
+    ("verify", *CODE, "--oracle", "lex", "--format", "plain"),
+    ("verify", *CODE, "--oracle", "exhaustive", "--r", "2", "--format", "csv"),
+    ("verify", *CODE, "--oracle", "dims", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("argv", PLAN_SHAPED, ids=("lex", "exhaustive", "dims"))
+def test_main_reads_a_plan_shaped_verify_argv_without_argparse(monkeypatch, tmp_path, argv):
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError(f"{self.prog} read the argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("dim", "--q", "2", "--d", "1", "--m=2"),
+    ("dim", *CODE, "--form", "json"),
+    ("dim", "--q", "3", *CODE),  # a repeated flag, whose last value wins
+])
+def test_main_leaves_other_shapes_to_argparse(capsys, monkeypatch, argv):
+    reads = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        reads.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(list(argv)) == 0
+    assert reads == ["rmweights dim"]
