@@ -11,12 +11,12 @@
 # with and without --r and with a --cap that leaves only the top rank,
 # and at (2, 2, 4), r = 1, whose walks of up to 10 free entries replay
 # cached Gray blocks of 6, four usage errors (exit 2: one naming the
-# m >= 1 that a code needs, no command, which the top parser reads, and an
-# unknown option after a command, which that command's parser leaves to
-# the top parser's `unrecognized arguments` error), command lines that
-# only argparse reads, not the pair reader in front of it (an --m=5, a
-# repeated --q whose last value wins, an abbreviated --form, and a
-# --format outside its choices, exit 2 with argparse's own message), a
+# m >= 1 that a code needs, no command, and an unknown option after a
+# command, which ends at argparse's `unrecognized arguments` error),
+# command lines that only argparse reads, not the pair reader in front
+# of it (an --m=5, an abbreviated --form, and a --format outside its
+# choices, exit 2 with argparse's own message), a repeated --q whose
+# last value wins, a
 # table whose wide ranges are clipped to the codes that exist, byte for
 # byte the table of m = 1..3, and a 12,042-digit n whose coefficients
 # pass a float's 53 bits, which the integer guess decomposes in well

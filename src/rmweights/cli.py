@@ -11,10 +11,9 @@ whatever Python's int <-> str digit limit (`_all_digits`).
 
 `main` reads an argv whose first string names a command and whose rest
 are plain `--flag value` pairs by one table lookup per flag
-(`_read_pairs`), and any other argv after a command by that command's
-own parser alone (`_parse`).  Either way it gives the Namespace, exit
-code and messages that `build_parser().parse_args` gives; no arguments,
--h/--help and an unknown command take the top parser.
+(`_read_pairs`), to the Namespace that `build_parser().parse_args`
+gives; `parse_args` reads every other argv (`_parse`) and writes every
+help, usage and error message.
 """
 
 from __future__ import annotations
@@ -323,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parsers() -> tuple:
-    """The top parser, a dict of its command parsers by name, and a dict
-    of the pair reader's tables by command name, built once per process.
+    """The top parser and a dict of the pair reader's tables by command
+    name, built once per process.
 
     Each option is declared once, here.  A command's table is made from
     the `Action`s that its `add_argument` calls return and from its
@@ -337,10 +336,10 @@ def _parsers() -> tuple:
         description="Dimensions and generalized Hamming weights of q-ary Reed-Muller codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands, tables = {}, {}
+    tables = {}
 
     def command(name, summary, *options, **defaults):
-        p = commands[name] = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary)
         actions = [p.add_argument(flag, **kw) for flag, kw in options]
         p.set_defaults(**defaults)
         dests = [a.dest for a in actions] + list(defaults)
@@ -385,7 +384,7 @@ def _parsers() -> tuple:
         opt("--cap", type=int, help="enumeration cap override"),
         *common, func=cmd_verify,
     )
-    return parser, commands, tables
+    return parser, tables
 
 
 def _read_pairs(table, strings) -> argparse.Namespace | None:
@@ -393,11 +392,12 @@ def _read_pairs(table, strings) -> argparse.Namespace | None:
     or None for argparse to read them.
 
     Plain pairs are `--flag value` pairs in which every flag is one of the
-    command's options spelled in full and given once, no value starts
-    with '-', each value passes its option's `type` and `choices`, and
-    every required option is given.  argparse reads such strings without
-    an error, to the Namespace built here; so every other shape, help,
-    usage error and message is left to argparse alone."""
+    command's options spelled in full, no value starts with '-', each
+    value passes its option's `type` and `choices`, and every required
+    option is given.  argparse reads such strings without an error, to
+    the Namespace built here (of a repeated flag, the last value wins in
+    both); so every other shape, help, usage error and message is left to
+    argparse alone."""
     flags, namespace, required = table
     if len(strings) % 2:
         return None
@@ -405,7 +405,7 @@ def _read_pairs(table, strings) -> argparse.Namespace | None:
     pairs = iter(strings)
     for flag, text in zip(pairs, pairs):
         action = flags.get(flag)
-        if action is None or action.dest in values or text.startswith("-"):
+        if action is None or text.startswith("-"):
             return None
         try:
             value = text if action.type is None else action.type(text)
@@ -421,26 +421,15 @@ def _read_pairs(table, strings) -> argparse.Namespace | None:
 
 def _parse(argv: list) -> argparse.Namespace:
     """What `build_parser().parse_args(argv)` gives, by a table lookup per
-    flag where it can, else by one parser's pass.
+    flag where it can.
 
     When argv[0] names a command and the rest are plain `--flag value`
     pairs (`_read_pairs`), the Namespace is built from that command's
-    table.  Else its own parser reads argv[1:] alone: the top parser's
-    pass over every string, which the command parser then reads again,
-    is skipped.  Leftover strings end at the top parser's `unrecognized
-    arguments` error, as `parse_args` ends them.  No arguments, -h/--help
-    and an unknown command take the top parser."""
-    parser, commands, tables = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _read_pairs(tables[argv[0]], argv[1:])
-    if args is not None:
-        return args
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    return args
+    table; `parse_args` reads every other argv."""
+    parser, tables = _parsers()
+    table = tables.get(argv[0]) if argv else None
+    args = None if table is None else _read_pairs(table, argv[1:])
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
