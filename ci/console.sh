@@ -7,7 +7,9 @@
 # The tests call cli.main in-process; this runs the command as a user
 # does: a passing verify with each oracle (exit 0), the lex one also at
 # (2, 4, 26), whose 2^26 digit tuples it walks as values in under a second
-# (about 21 s when it listed and sorted the tuples), the exhaustive one
+# (about 21 s when it listed and sorted the tuples), the dims one there
+# too, whose count reads the same listing as one run per each of its
+# 2^10 heads, the exhaustive one
 # with and without --r and with a --cap that leaves only the top rank,
 # and at (2, 2, 4), r = 1, whose walks of up to 10 free entries replay
 # cached Gray blocks of 6, four usage errors (exit 2: one naming the
@@ -49,6 +51,8 @@ out=$("${rmweights[@]}" verify --q 2 --d 2 --m 4 --oracle exhaustive --r 1)
 test "$out" = "PASS d_1 = 4"
 out=$("${rmweights[@]}" verify --q 5 --d 2 --m 2 --oracle dims)
 test "$out" = "PASS rho = 6 by 4 methods"
+out=$(timeout 10 "${rmweights[@]}" verify --q 2 --d 4 --m 26 --oracle dims)
+test "$out" = "PASS rho = 17902 by 3 methods"
 code=0
 "${rmweights[@]}" dim --q 6 --d 1 --m 1 || code=$?
 test "$code" -eq 2

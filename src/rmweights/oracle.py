@@ -18,11 +18,14 @@ Three oracles, each deliberately naive:
 
 Naive means every tuple and every subspace is visited, and none of the closed
 forms is called; the per-element work runs in C where it can (`bytes.translate`
-over digit sums, codewords and supports as integers).  Each oracle lists its own
-tuples on purpose, so that a fault in one listing fails one oracle, not two: the
-count and the lex oracle each build their own table of digit sums, shared with
-no other code.  `enumerate_tuples` lists the tuples themselves, sorted, and is
-the tests' naive reference for the lex oracle; no oracle calls it.
+over digit sums, codewords and supports as integers).  The count and the lex
+oracle read one listing of the tuples, `_listing`: a table of the digit sums of
+the last digits and one run per value of the others.  Each oracle is checked
+against the closed forms, never against the other, so a fault in that listing
+fails both and hides none; it shares no code with the hierarchy scan's digit
+sums or with the generator matrix's exponents.  `enumerate_tuples` lists the
+tuples themselves, sorted, and is the tests' naive reference for the lex
+oracle; no oracle calls it.
 
 Field arithmetic uses full lookup tables, built modulo pinned
 irreducible polynomials: x^2+x+1 for GF(4), x^3+x+1 for GF(8), x^2+1
@@ -173,6 +176,8 @@ def build_field(q: int) -> FieldTable:
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over F_q."""
+    if not all(isinstance(x, int) for x in (n, k, q)):
+        raise TypeError("n, k and q must be integers")
     if k < 0 or k > n:
         return 0
     k = min(k, n - k)  # [n, k]_q = [n, n - k]_q
@@ -232,7 +237,9 @@ def _points_under_cap(q: int, m: int, cap: int, what: str) -> int:
     )
 
 
-def _check_enumeration_args(q: int, m: int, cap: int) -> None:
+def _check_enumeration_args(q: int, d: int, m: int, cap: int) -> None:
+    if not all(isinstance(x, int) for x in (q, d, m)):
+        raise TypeError("q, d and m must be integers")
     if q < 2:
         raise ValueError("q must be >= 2")
     if m < 0:
@@ -240,39 +247,49 @@ def _check_enumeration_args(q: int, m: int, cap: int) -> None:
     _points_under_cap(q, m, cap, "enumeration")
 
 
+_RAMP = bytes(range(256)) * 2  # _RAMP[a:a + 256] maps byte x to x + a (mod 256)
+
+
+def _listing(q: int, d: int, m: int, cap: int) -> tuple:
+    """The tuples in {0..q-1}^m with sum <= d, as runs of their base-q
+    values, descending: the one listing that both enumeration oracles read.
+
+    Returns (sums, runs).  The last j digits (the tail) are walked in C:
+    byte i of the `bytes` string sums is the digit sum of tail
+    q^j - 1 - i, built by q translate-and-join steps per digit.  j is the
+    largest with j <= m, q^j <= 2^16 and j(q-1) <= 255, so a tail sum
+    fits in a byte; j = 0 (q > 256) leaves the one empty tail.  A Python
+    loop runs over the other m - j digits (the head) in descending
+    order, and runs yields (top, t) for each head whose budget
+    t = d - sum(head) is >= 0: its tuples have the values top - i for
+    the i with sums[i] <= t, top being the head's largest value."""
+    _check_enumeration_args(q, d, m, cap)
+    j = max(i for i in range(m + 1) if q**i <= 1 << 16 and i * (q - 1) <= 255)
+    sums = b"\0"  # the one empty tail, of sum 0
+    for _ in range(j):
+        # a new top digit a, from q - 1 down, adds a to every sum so far
+        # (none wraps: they stay <= j(q-1) <= 255)
+        sums = b"".join(sums.translate(_RAMP[a:a + 256]) for a in range(q - 1, -1, -1))
+    heads = itertools.product(range(q - 1, -1, -1), repeat=m - j)
+    runs = ((top, t) for top, head in zip(range(q**m - 1, -1, -len(sums)), heads)
+            if (t := d - sum(head)) >= 0)
+    return sums, runs
+
+
 def count_reduced_monomials(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> int:
     """Count tuples in {0..q-1}^m with sum <= d by walking all of them.
 
-    The last j coordinates (the tail) are walked in C: their digit sums
-    are one `bytes` string, one byte per tail tuple, built by q
-    translate-and-join steps per coordinate.  A Python loop runs over
-    the other m - j coordinates (the head), and for each head one
-    translate deletes the tail bytes above d - sum(head) and the rest
-    are counted.  j is the largest with j <= m, q^j <= 2^16 and
-    j(q-1) <= 255, so a tail sum fits in a byte; j = 0 (q > 256) is the
-    plain walk over all m coordinates."""
-    _check_enumeration_args(q, m, cap)
-    j = 0
-    while j < m and q ** (j + 1) <= 1 << 16 and (j + 1) * (q - 1) <= 255:
-        j += 1
-    ramp = bytes(range(256)) * 2  # ramp[a:a + 256] maps byte x to x + a (mod 256)
-    tails = b"\0"  # the one empty tail, of sum 0
-    for _ in range(j):
-        # a new coordinate of value a adds a to every sum so far (none wraps:
-        # they stay <= j(q-1) <= 255)
-        tails = b"".join(tails.translate(ramp[a:a + 256]) for a in range(q))
-    count = 0
-    for head in itertools.product(range(q), repeat=m - j):
-        t = d - sum(head)
-        if t >= 0:
-            count += len(tails.translate(None, ramp[t + 1:256]))  # drop the sums above t
-    return count
+    It reads the runs of `_listing` and lists no value: per run, one
+    translate deletes the tail sums above its budget t and the bytes
+    left are counted."""
+    sums, runs = _listing(q, d, m, cap)
+    return sum(len(sums.translate(None, _RAMP[t + 1:256])) for _, t in runs)
 
 
 def enumerate_tuples(q: int, d: int, m: int, cap: int = DEFAULT_TUPLE_CAP) -> tuple:
     """All tuples in {0..q-1}^m with sum <= d, descending lexicographic:
     the tests' naive reference for `e_bar_lex_column`."""
-    _check_enumeration_args(q, m, cap)
+    _check_enumeration_args(q, d, m, cap)
     # filter, then sort: slower than generating in order, but the
     # result is obviously the descending lexicographic listing
     tuples = (t for t in itertools.product(range(q), repeat=m) if sum(t) <= d)
@@ -288,34 +305,17 @@ def e_bar_lex_column(params: CodeParams, cap: int = DEFAULT_TUPLE_CAP) -> tuple:
     Descending lex order of digit tuples is descending order of their
     base-q values, so the column is every value below q^m with digit
     sum <= d, descending, and the listing holds values, not tuples:
-    nothing is sorted, and a rank costs one int.  The digit sums of the
-    last j digits (the tail, j as in `count_reduced_monomials`) are one
-    `bytes` table of this function's own, a byte per tail value.  The
-    other m - j digits (the head) run through `itertools.product` in
-    descending order beside their values, and per head one translate
-    marks the tails of sum <= d - sum(head) and one `itertools.compress`
-    keeps their values head * q^j + tail, descending."""
-    q, d, m = params.q, params.d, params.m
-    _check_enumeration_args(q, m, cap)
-    j = max(i for i in range(m + 1) if q**i <= 1 << 16 and i * (q - 1) <= 255)
-    ramp = bytes(range(256)) * 2  # ramp[a:a + 256] maps byte x to x + a (mod 256)
-    sums = b"\0"  # the one empty tail, of sum 0
-    for _ in range(j):
-        # a new top digit a, from q - 1 down, adds a to every sum so far (at
-        # most j(q-1) <= 255): sums[i] is the digit sum of tail q^j - 1 - i
-        sums = b"".join(sums.translate(ramp[a:a + 256]) for a in range(q - 1, -1, -1))
-    size, full = q**j, j * (q - 1)
+    nothing is sorted, and a rank costs one int.  It chains the runs of
+    `_listing`: a run whose budget covers every tail is a whole `range`,
+    and any other is one translate that marks the tails of sum <= t and
+    one `itertools.compress` that keeps their values, descending."""
+    sums, runs = _listing(params.q, params.d, params.m, cap)
+    size, full = len(sums), sums[0]  # sums[0] = j(q-1), the tail of all digits q - 1
     step = b"\1" * 256 + b"\0" * 256  # step[255 - t:511 - t] maps byte s to s <= t
-
-    def runs():
-        heads = itertools.product(range(q - 1, -1, -1), repeat=m - j)
-        for top, head in zip(range(q**m - 1, -1, -size), heads):
-            if (t := d - sum(head)) >= 0:
-                values = range(top, top - size, -1)
-                yield values if t >= full else itertools.compress(
-                    values, sums.translate(step[255 - t:511 - t]))
-
-    return tuple(itertools.chain.from_iterable(runs()))
+    return tuple(itertools.chain.from_iterable(
+        range(top, top - size, -1) if t >= full else itertools.compress(
+            range(top, top - size, -1), sums.translate(step[255 - t:511 - t]))
+        for top, t in runs))
 
 
 @dataclass(frozen=True, eq=False)

@@ -534,6 +534,19 @@ def test_verify_lex_rejects_a_short_listing(capsys, monkeypatch):
     assert err == "error: the lex oracle lists 2 tuples, not rho = 3\n"
 
 
+def test_a_fault_in_the_shared_listing_fails_both_oracles(capsys, monkeypatch):
+    # the count and the lex column read one listing: a budget one too high
+    # there must fail each, not pass one of them
+    listing = oracle._listing
+    monkeypatch.setattr(oracle, "_listing", lambda q, d, m, cap: listing(q, d + 1, m, cap))
+    argv = ("verify", "--q", "2", "--d", "3", "--m", "5", "--oracle")
+    code, out, err = run(capsys, *argv, "dims")
+    assert (code, err) == (1, "")
+    assert out == "formula = 26\nrecursion = 26\nenumeration = 31\nFAIL (methods disagree)\n"
+    code, out, err = run(capsys, *argv, "lex")
+    assert (code, out, err) == (2, "", "error: the lex oracle lists 31 tuples, not rho = 26\n")
+
+
 @pytest.mark.parametrize("name, values, message", [
     ("e_bars", lambda h: h[:-1], "the greedy gives 2 values"),
     ("e_bars", lambda h: [*h, h[-1]], "the greedy gives 4 values"),

@@ -195,6 +195,38 @@ def test_enumeration_caps():
             listing(1, 1, 1)
 
 
+@pytest.mark.parametrize("call, args", [
+    pytest.param(count_reduced_monomials, (2.0, 1, 3), id="count-q"),
+    pytest.param(enumerate_tuples, (2.0, 1, 3), id="tuples-q"),
+    pytest.param(enumerate_tuples, (2, 1.5, 3), id="tuples-d"),  # would list 4 tuples
+    # a budget past every tail would count all 8
+    pytest.param(count_reduced_monomials, (2, 100.0, 3), id="count-d"),
+    pytest.param(count_reduced_monomials, (2, 1, 3.0), id="count-m"),
+])
+def test_enumerations_take_integers(call, args):
+    with pytest.raises(TypeError, match="^q, d and m must be integers$"):
+        call(*args)
+
+
+def test_gaussian_binomial_takes_integers():
+    for args in ((5, 2, 2.0), (5.0, 2, 2), (5, 2.0, 2)):  # (5, 2, 2.0) would be 155.0
+        with pytest.raises(TypeError, match="^n, k and q must be integers$"):
+            gaussian_binomial(*args)
+
+
+def test_the_count_lists_no_value():
+    # 4 head digits over a 2^16 tail, 431,910 tuples: a count that listed
+    # the values (as len(e_bar_lex_column(...)) does) peaks near 17.5 MB
+    tracemalloc.start()
+    try:
+        count = count_reduced_monomials(2, 9, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 431_910
+    assert peak < 4 * 2**16
+
+
 def test_enumerate_tuples_order():
     assert enumerate_tuples(2, 1, 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
     assert enumerate_tuples(3, 2, 2) == ((2, 0), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0))
